@@ -3,7 +3,7 @@
 A rule (n, k) means a couple keeps having children until at least n boys
 and k girls have been born, each birth being a boy with probability p.
 The package computes the resulting family demographics four independent
-ways (closed forms, truncated series with rigorous tail bounds, exact
+ways (closed forms, truncated series with truncation bounds, exact
 rational-function algebra, and seeded Monte Carlo) and checks them against
 a brute-force enumeration of raw birth sequences.  The headline invariant:
 the ratio of expected boys to expected girls equals the birth odds

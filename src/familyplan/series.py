@@ -1,16 +1,20 @@
 """Truncated-series evaluation of the rule expectations, with tail bounds.
 
-Every expectation here is a sum over family sizes T of a weight times one
-of the two pmf addends from :mod:`familyplan.core`.  Writing l = T - 1, the
-successive-term ratios of those addends are
+Every expectation here is a sum over family sizes T >= n + k of a weight
+times one of the two pmf addends from :mod:`familyplan.core`: families
+closed by their n-th boy and families closed by their k-th girl.  With m
+the closing count and x the probability of the other sex, a branch's
+addend has successor ratio T*x/(T+1-m), nonincreasing in T.  Each weight
+has the form w(T) = a*T + b, optionally divided by T, with a >= 0; where
+its ratio w(T+1)/w(T) exceeds 1 that ratio is nonincreasing too.  So once
+w(T) > 0 the one tail rule
 
-    boy-last:   (l+1) * (1-p) / (l+2-n)      -> 1-p
-    girl-last:  (l+1) * p / (l+2-k)          -> p
+    r = T*x/(T+1-m) * max(1, w(T+1)/w(T))
 
-and every weighted variant used below has a successor-ratio bound that
-decreases monotonically toward the same limit.  Once the current bound r
-drops below 1 the remaining tail is at most term * r / (1 - r), which is
-the rigorous truncation bound reported in every SeriesResult.
+bounds every later term ratio, and when r < 1 the dropped tail is at most
+term * r / (1 - r).  That is the tail bound reported in every
+SeriesResult.  It bounds the truncation only, not the floating-point
+rounding of the summed terms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb, fsum
-from typing import Callable
 
 from .core import (
     BirthProbability,
@@ -30,7 +33,7 @@ from .core import (
     pmf_support_min,
     stopping_pmf_components,
 )
-from .errors import DomainError, ExtremeProbabilityError, TermCapError
+from .errors import DomainError, ExtremeProbabilityError, NumericError, TermCapError
 
 # Term counts scale like 1/min(p, 1-p); refuse probabilities that would
 # burn the cap instead of converging.
@@ -39,10 +42,24 @@ TERM_CAP = 100_000
 
 CLOSED_FORM_QUANTITIES = ("F_H", "F_S", "G_H", "G_S", "B_H", "B_S")
 
+# Weights (a, b) meaning a*T + b on families closed by a boy and by a girl,
+# for a rule (n, k); the flag divides both weights by T.
+_WEIGHTS = {
+    "boys": (lambda n, k: ((0, n), (1, -k)), False),
+    "family_size": (lambda n, k: ((1, 0), (1, 0)), False),
+    "girl_share": (lambda n, k: ((1, -n), (0, k)), True),
+}
+
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A truncated series value with a rigorous bound on the dropped tail."""
+    """A truncated series value with a bound on the dropped tail.
+
+    tail_bound covers truncation only; the rounding of the summed terms is
+    not included.  Near float64 precision the value can sit farther from
+    the exact sum than that: expected_family_size((5,0), 0.3, 1e-13) is
+    9.89e-14 from 5/p against a tail_bound of 8.17e-14.
+    """
 
     value: float
     tail_bound: float
@@ -70,59 +87,78 @@ def _check_tolerance(tol: float) -> float:
     return float(tol)
 
 
-def _sum_branch(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int, float], float | None],
-    start: int,
+def _weighted_series(
+    rule: Rule | tuple[int, int],
+    p: BirthProbability | float,
     tol: float,
-    cap: int | None = None,
-) -> tuple[float, float, int]:
-    """Sum term(l) for l >= start until tail_bound certifies the remainder.
+    quantity: str,
+) -> SeriesResult:
+    """Sum a quantity's weighted pmf addends until the tail rule meets tol.
 
-    tail_bound(l, t) returns an upper bound on sum(term(j) for j > l) or
-    None when no bound is available yet (ratio still >= 1, or a weight has
-    not entered its monotone regime).  Terms are accumulated with fsum so
-    the reported value is correctly rounded for the partial sum.
+    When both branches can close a family each gets half of tol.  Terms are
+    accumulated with fsum, so each branch value is its correctly rounded
+    partial sum.
     """
-    if cap is None:
-        cap = TERM_CAP
-    terms: list[float] = []
-    l = start
-    while True:
-        t = term(l)
-        terms.append(t)
-        bound = tail_bound(l, t)
-        if bound is not None and bound <= tol:
-            return (fsum(terms), bound, len(terms))
-        if len(terms) >= cap:
-            raise TermCapError(
-                f"series did not reach tolerance {tol} within {cap} terms"
-            )
-        l += 1
+    rule = _require_stoppable(as_rule(rule))
+    prob = _check_series_probability(as_probability(p))
+    tol = _check_tolerance(tol)
 
+    n, k = rule.boys_required, rule.girls_required
+    pp, q = prob.p, prob.q
+    weights, per_child = _WEIGHTS[quantity]
+    boy_closed, girl_closed = weights(n, k)
+    # (closing count m, other-sex probability x, weight, boys and girls
+    # added per extra child); both branches start at T = n + k.
+    branches = [
+        branch
+        for branch in ((n, q, boy_closed, 0, 1), (k, pp, girl_closed, 1, 0))
+        if branch[0] >= 1
+    ]
+    branch_tol = tol / len(branches)
+    cap = TERM_CAP
+    values: list[float] = []
+    bounds: list[float] = []
+    terms_used = 0
+    for m, x, (a, b), add_boys, add_girls in branches:
+        size, boys, girls = n + k, n, k
+        w = (a * size + b) / size if per_child else a * size + b
+        terms: list[float] = []
+        last = size + cap
+        while True:
+            try:
+                t = w * (comb(size - 1, m - 1) * pp**boys * q**girls)
+            except OverflowError:
+                raise NumericError(
+                    f"series term at T={size} overflows float64 for rule "
+                    f"({n},{k}) at p={pp!r}"
+                ) from None
+            terms.append(t)
+            following = size + 1
+            w_next = (a * following + b) / following if per_child else a * following + b
+            if w > 0:
+                # the module's tail rule; the weight ratio counts only above 1
+                r = size * x / (following - m)
+                if w_next > w:
+                    r *= w_next / w
+                if r < 1.0:
+                    bound = t * r / (1.0 - r)
+                    if bound <= branch_tol:
+                        break
+            if following >= last:
+                raise TermCapError(
+                    f"series did not reach tolerance {tol} within {cap} terms"
+                )
+            size = following
+            boys += add_boys
+            girls += add_girls
+            w = w_next
+        values.append(fsum(terms))
+        bounds.append(bound)
+        terms_used += len(terms)
 
-def _branch_tolerance(tol: float, branches: int) -> float:
-    return tol / branches
-
-
-def _boy_addend(n: int, pp: float, q: float) -> Callable[[int], float]:
-    def addend(l: int) -> float:
-        return comb(l, n - 1) * pp**n * q ** (l + 1 - n)
-
-    return addend
-
-
-def _girl_addend(k: int, pp: float, q: float) -> Callable[[int], float]:
-    def addend(l: int) -> float:
-        return comb(l, k - 1) * pp ** (l + 1 - k) * q**k
-
-    return addend
-
-
-def _geometric_tail(r: float, t: float) -> float | None:
-    if r >= 1.0:
-        return None
-    return abs(t) * r / (1.0 - r)
+    return SeriesResult(
+        value=fsum(values), tail_bound=fsum(bounds), terms_used=terms_used
+    )
 
 
 def expected_boys(
@@ -134,46 +170,7 @@ def expected_boys(
 
     Boy-last families contribute weight n, girl-last families weight T - k.
     """
-    rule = _require_stoppable(as_rule(rule))
-    prob = _check_series_probability(as_probability(p))
-    tol = _check_tolerance(tol)
-
-    n, k = rule.boys_required, rule.girls_required
-    pp, q = prob.p, prob.q
-    start = rule.total_required - 1
-    branch_tol = _branch_tolerance(tol, (n >= 1) + (k >= 1))
-
-    parts: list[tuple[float, float, int]] = []
-    if n >= 1:
-        boy_addend = _boy_addend(n, pp, q)
-
-        def boy_term(l: int) -> float:
-            return n * boy_addend(l)
-
-        def boy_tail(l: int, t: float) -> float | None:
-            # constant weight: successor ratio (l+1)(1-p)/(l+2-n), decreasing
-            return _geometric_tail((l + 1) * q / (l + 2 - n), t)
-
-        parts.append(_sum_branch(boy_term, boy_tail, start, branch_tol))
-    if k >= 1:
-        girl_addend = _girl_addend(k, pp, q)
-
-        def girl_term(l: int) -> float:
-            return (l + 1 - k) * girl_addend(l)
-
-        def girl_tail(l: int, t: float) -> float | None:
-            # weight T-k: successor ratio (l+1)p/(l+1-k), decreasing once positive
-            if l + 1 - k < 1:
-                return None
-            return _geometric_tail((l + 1) * pp / (l + 1 - k), t)
-
-        parts.append(_sum_branch(girl_term, girl_tail, start, branch_tol))
-
-    return SeriesResult(
-        value=fsum(v for v, _, _ in parts),
-        tail_bound=fsum(b for _, b, _ in parts),
-        terms_used=sum(c for _, _, c in parts),
-    )
+    return _weighted_series(rule, p, tol, "boys")
 
 
 def expected_girls(
@@ -187,99 +184,13 @@ def expected_girls(
     return expected_boys(rule.mirrored(), BirthProbability(prob.q), tol)
 
 
-def _expected_girls_direct(
-    rule: Rule | tuple[int, int],
-    p: BirthProbability | float,
-    tol: float,
-) -> SeriesResult:
-    """Direct transcription of the girls series, bypassing the mirror.
-
-    Test-only: exists so the mirror identity can be checked against an
-    independent summation instead of holding by construction.
-    """
-    rule = _require_stoppable(as_rule(rule))
-    prob = _check_series_probability(as_probability(p))
-    tol = _check_tolerance(tol)
-
-    n, k = rule.boys_required, rule.girls_required
-    pp, q = prob.p, prob.q
-    start = rule.total_required - 1
-    branch_tol = _branch_tolerance(tol, (n >= 1) + (k >= 1))
-
-    parts: list[tuple[float, float, int]] = []
-    if n >= 1:
-        boy_addend = _boy_addend(n, pp, q)
-
-        def boy_term(l: int) -> float:
-            return (l + 1 - n) * boy_addend(l)
-
-        def boy_tail(l: int, t: float) -> float | None:
-            if l + 1 - n < 1:
-                return None
-            return _geometric_tail((l + 1) * q / (l + 1 - n), t)
-
-        parts.append(_sum_branch(boy_term, boy_tail, start, branch_tol))
-    if k >= 1:
-        girl_addend = _girl_addend(k, pp, q)
-
-        def girl_term(l: int) -> float:
-            return k * girl_addend(l)
-
-        def girl_tail(l: int, t: float) -> float | None:
-            return _geometric_tail((l + 1) * pp / (l + 2 - k), t)
-
-        parts.append(_sum_branch(girl_term, girl_tail, start, branch_tol))
-
-    return SeriesResult(
-        value=fsum(v for v, _, _ in parts),
-        tail_bound=fsum(b for _, b, _ in parts),
-        terms_used=sum(c for _, _, c in parts),
-    )
-
-
 def expected_family_size(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     tol: float,
 ) -> SeriesResult:
     """Expected number of children E(T) at the stopping time."""
-    rule = _require_stoppable(as_rule(rule))
-    prob = _check_series_probability(as_probability(p))
-    tol = _check_tolerance(tol)
-
-    n, k = rule.boys_required, rule.girls_required
-    pp, q = prob.p, prob.q
-    start = rule.total_required - 1
-    branch_tol = _branch_tolerance(tol, (n >= 1) + (k >= 1))
-
-    parts: list[tuple[float, float, int]] = []
-    if n >= 1:
-        boy_addend = _boy_addend(n, pp, q)
-
-        def boy_term(l: int) -> float:
-            return (l + 1) * boy_addend(l)
-
-        def boy_tail(l: int, t: float) -> float | None:
-            # weight T: successor ratio (l+2)(1-p)/(l+2-n), decreasing
-            return _geometric_tail((l + 2) * q / (l + 2 - n), t)
-
-        parts.append(_sum_branch(boy_term, boy_tail, start, branch_tol))
-    if k >= 1:
-        girl_addend = _girl_addend(k, pp, q)
-
-        def girl_term(l: int) -> float:
-            return (l + 1) * girl_addend(l)
-
-        def girl_tail(l: int, t: float) -> float | None:
-            return _geometric_tail((l + 2) * pp / (l + 2 - k), t)
-
-        parts.append(_sum_branch(girl_term, girl_tail, start, branch_tol))
-
-    return SeriesResult(
-        value=fsum(v for v, _, _ in parts),
-        tail_bound=fsum(b for _, b, _ in parts),
-        terms_used=sum(c for _, _, c in parts),
-    )
+    return _weighted_series(rule, p, tol, "family_size")
 
 
 def gender_ratio(

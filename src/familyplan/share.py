@@ -16,22 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, fsum
 
-from .core import (
-    BirthProbability,
-    Rule,
-    _require_stoppable,
-    as_probability,
-    as_rule,
-)
+from .core import BirthProbability, Rule, as_probability
 from .series import (
     SeriesResult,
-    _branch_tolerance,
-    _check_series_probability,
-    _check_tolerance,
-    _geometric_tail,
-    _sum_branch,
+    _weighted_series,
     expected_family_size,
     expected_girls,
 )
@@ -65,50 +54,9 @@ def average_share(
     """E[girls / T]: the pmf addends weighted by each branch's girl fraction.
 
     Boy-last families of size T hold T - n girls, girl-last families hold
-    exactly k, so the weights are (T-n)/T and k/T.  Since both weights lie
-    in [0, 1], tails are bounded by the unweighted addend tails.
+    exactly k, so the weights are (T-n)/T and k/T.
     """
-    rule = _require_stoppable(as_rule(rule))
-    prob = _check_series_probability(as_probability(p))
-    tol = _check_tolerance(tol)
-
-    n, k = rule.boys_required, rule.girls_required
-    pp, q = prob.p, prob.q
-    start = rule.total_required - 1
-    branch_tol = _branch_tolerance(tol, (n >= 1) + (k >= 1))
-
-    parts: list[tuple[float, float, int]] = []
-    if n >= 1:
-
-        def boy_term(l: int) -> float:
-            return ((l + 1 - n) / (l + 1)) * comb(l, n - 1) * pp**n * q ** (l + 1 - n)
-
-        def boy_tail(l: int, t: float) -> float | None:
-            # weight (T-n)/T increases toward 1, so the unweighted addend
-            # tail (ratio (l+1)(1-p)/(l+2-n), decreasing) dominates.
-            if l + 1 - n < 1:
-                return None
-            unweighted = t * (l + 1) / (l + 1 - n)
-            return _geometric_tail((l + 1) * q / (l + 2 - n), unweighted)
-
-        parts.append(_sum_branch(boy_term, boy_tail, start, branch_tol))
-    if k >= 1:
-
-        def girl_term(l: int) -> float:
-            return (k / (l + 1)) * comb(l, k - 1) * pp ** (l + 1 - k) * q**k
-
-        def girl_tail(l: int, t: float) -> float | None:
-            # weight k/T decreases, so the weighted term itself dominates
-            # the tail at the unweighted addend ratio.
-            return _geometric_tail((l + 1) * pp / (l + 2 - k), t)
-
-        parts.append(_sum_branch(girl_term, girl_tail, start, branch_tol))
-
-    return SeriesResult(
-        value=fsum(v for v, _, _ in parts),
-        tail_bound=fsum(b for _, b, _ in parts),
-        terms_used=sum(c for _, _, c in parts),
-    )
+    return _weighted_series(rule, p, tol, "girl_share")
 
 
 def shammai_average_share_closed_form(p: BirthProbability | float) -> float:

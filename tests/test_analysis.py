@@ -49,6 +49,13 @@ class TestSweep:
         rows = analysis.sweep([(1, 1)], ["G"], 0.618034, 0.7, 2, 1e-10)
         assert rows[0].quantities["G(1,1)"] == pytest.approx(1.236068, abs=1e-5)
 
+    def test_overflowing_cell_is_nan(self):
+        # a (300,0) series term exceeds float64 at p=0.1; at even odds
+        # the same rule still evaluates
+        rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
+        assert math.isnan(rows[0].quantities["F(300,0)"])
+        assert rows[1].quantities["F(300,0)"] == pytest.approx(600.0, rel=1e-9)
+
     def test_rows_are_monotone_and_aligned(self):
         rows = analysis.sweep([(1, 1), (2, 0)], ["F", "G", "B"], 0.2, 0.8, 13, 1e-8)
         keys = list(rows[0].quantities)

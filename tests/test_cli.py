@@ -124,6 +124,22 @@ class TestShare:
         assert envelope["results"]["average_share"]["value"] == pytest.approx(0.5, abs=1e-8)
 
 
+class TestSeriesOverflow:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["exact", "-n", "1100", "-k", "0", "-p", "0.5"],
+            ["share", "-n", "300", "-k", "0", "-p", "0.1"],
+        ],
+    )
+    def test_term_overflow_exits_with_numeric_failure(self, run_cli, args):
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "overflows float64" in err
+
+
 class TestCrossing:
     def test_golden_ratio(self, run_cli):
         code, out, _ = run_cli(["crossing", "--a", "1,1", "--b", "2,0", "--json"])

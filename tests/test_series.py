@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from familyplan import core, series
+from familyplan import core, series, share
 from familyplan.errors import DomainError, ExtremeProbabilityError, TermCapError
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -62,11 +62,11 @@ class TestExpectedGirls:
     @pytest.mark.parametrize("rule", [(1, 1), (2, 0), (0, 1), (3, 2), (2, 3)])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_mirror_agrees_with_direct_series(self, rule, p):
-        # expected_girls mirrors the boys series; the direct transcription
-        # keeps the identity falsifiable instead of structural
+        # expected_girls mirrors the boys series; the partial sums of the
+        # girls series proper keep the identity falsifiable, not structural
         mirrored = series.expected_girls(rule, p, 1e-12)
-        direct = series._expected_girls_direct(rule, p, 1e-12)
-        assert mirrored.value == pytest.approx(direct.value, abs=2e-12)
+        direct = series.truncated_moments(rule, p, 400).girls
+        assert mirrored.value == pytest.approx(direct, abs=2e-12)
 
 
 class TestExpectedFamilySize:
@@ -146,7 +146,12 @@ class TestTailBounds:
     @pytest.mark.parametrize("p", [0.15, 0.5, 0.85])
     @pytest.mark.parametrize(
         "op",
-        [series.expected_boys, series.expected_girls, series.expected_family_size],
+        [
+            series.expected_boys,
+            series.expected_girls,
+            series.expected_family_size,
+            share.average_share,
+        ],
     )
     def test_tighter_tolerance_stays_within_reported_bound(self, rule, p, op):
         loose = op(rule, p, 1e-6)

@@ -76,6 +76,22 @@ class TestClosedForm:
         assert result.value == pytest.approx(closed, abs=1e-8)
 
     @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize(
+        "rule,exact",
+        [
+            ((2, 0), share.shammai_average_share_closed_form),
+            # E[(T-1)/T] for geometric T; its weight increases with T
+            ((1, 0), lambda p: 1.0 + p * math.log(p) / (1.0 - p)),
+            ((0, 1), lambda p: -(1.0 - p) * math.log(1.0 - p) / p),
+        ],
+    )
+    def test_tail_bound_covers_closed_form_error(self, p, tol, rule, exact):
+        result = share.average_share(rule, p, tol)
+        assert result.tail_bound <= tol
+        assert abs(result.value - exact(p)) <= result.tail_bound + 1e-14
+
+    @pytest.mark.parametrize("p", P_GRID)
     def test_average_share_strictly_below_societal_share(self, p):
         closed = share.shammai_average_share_closed_form(p)
         assert (1.0 - p) - closed > 1e-6
