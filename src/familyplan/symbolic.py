@@ -13,8 +13,13 @@ function of p with exact rational coefficients.  Building both sides of
 and canonicalizing turns the ratio-invariance claim into a structural
 equality of polynomials: a proof for that (n, k), not an approximation.
 
-Coefficients are fractions.Fraction throughout; canonical form is coprime
-numerator/denominator with a monic denominator.
+Every function built here, and every derivative of one, has a denominator
+p^a (1-p)^b, so a RationalFunction is stored as N(p) / (p^a (1-p)^b): a
+numerator polynomial N and the exponents (a, b).  Coefficients are int,
+or Fraction where not integral.  The canonical form cancels the only
+factors N can share with the denominator: while a > 0 and N(0) = 0, N
+loses a factor p; while b > 0 and N(1) = 0, N loses a factor 1-p.  Equal
+functions therefore have equal canonical forms, with no polynomial GCD.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from typing import Iterable, Union
+from itertools import accumulate
+from math import comb, factorial, lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, PoleError
 
@@ -34,18 +40,30 @@ EXACT_RULE_CAP = 12
 Scalar = Union[int, Fraction]
 
 
+def _exact(value: Scalar) -> Scalar:
+    """An int or Fraction coefficient, as int when it is integral."""
+    if type(value) is int:  # the common case; isinstance against Fraction is slow
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(
+            f"polynomial coefficients must be int or Fraction, got {type(value).__name__} {value!r}"
+        )
+    return value.numerator if value.denominator == 1 else value
+
+
 class Polynomial:
     """Dense polynomial in p with exact rational coefficients.
 
-    Coefficient i multiplies p^i.  Trailing zeros are stripped on
-    construction, so equality is structural; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Coefficient i multiplies p^i.  Integral coefficients are stored as int,
+    the others as Fraction; float and bool coefficients raise DomainError.
+    Trailing zeros are stripped on construction, so equality is structural;
+    the zero polynomial has an empty coefficient tuple and degree -1.
     """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -60,13 +78,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self.coefficients[-1]
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -103,7 +116,7 @@ class Polynomial:
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
+        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             if a == 0:
                 continue
@@ -126,33 +139,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coefficients) - len(other.coefficients) + 1, 1)
-        rest = list(self.coefficients)
-        d = other.degree
-        lead = other.leading_coefficient()
-        while len(rest) - 1 >= d and any(c != 0 for c in rest):
-            while rest and rest[-1] == 0:
-                rest.pop()
-            if len(rest) - 1 < d:
-                break
-            shift = len(rest) - 1 - d
-            factor = rest[-1] / lead
-            quotient[shift] = factor
-            for i, c in enumerate(other.coefficients):
-                rest[shift + i] -= factor * c
-            rest.pop()
-        return Polynomial(quotient), Polynomial(rest)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Polynomial":
         return Polynomial(
             [i * c for i, c in enumerate(self.coefficients)][1:]
@@ -164,12 +150,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             result = result * inner + Polynomial([c])
         return result
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading_coefficient()
-        return Polynomial([c / lead for c in self.coefficients])
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -197,12 +177,30 @@ P_VAR = Polynomial([0, 1])
 ONE_MINUS_P = Polynomial([1, -1])
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean remainder sequence."""
-    a, b = _as_poly(a), _as_poly(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+def _power_product(a: int, b: int) -> Polynomial:
+    """p^a (1-p)^b, expanded by the binomial theorem."""
+    return Polynomial([0] * a + [(-1) ** j * comb(b, j) for j in range(b + 1)])
+
+
+def _divide_out(coefficients: Sequence[Scalar], a: int, b: int) -> tuple[list[Scalar], int, int]:
+    """Divide up to a factors p, then up to b factors 1-p, out of a polynomial.
+
+    Each loop stops at the first factor that does not divide.  Returns the
+    quotient's coefficients and how many factors p and 1-p came out; the
+    zero polynomial takes them all.
+    """
+    if not coefficients:
+        return [], a, b
+    shift = 0
+    while shift < a and coefficients[shift] == 0:
+        shift += 1
+    coeffs = list(coefficients[shift:])
+    ones = 0
+    while ones < b and sum(coeffs) == 0:
+        # N = (1-p) Q with N(1) = 0 gives q_i = c_0 + ... + c_i (synthetic division)
+        coeffs = list(accumulate(coeffs))[:-1]
+        ones += 1
+    return coeffs, shift, ones
 
 
 def format_polynomial(poly: Polynomial) -> str:
@@ -232,39 +230,50 @@ def format_polynomial(poly: Polynomial) -> str:
 
 
 class RationalFunction:
-    """Quotient of two polynomials, kept in canonical form.
+    """N(p) / (p^a (1-p)^b), kept in canonical form.
 
-    Canonical means: numerator and denominator coprime, denominator monic.
-    Equality of canonical forms is therefore equality of the functions.
+    ``numerator`` is N and ``exponents`` is (a, b).  Canonical means
+    N(0) != 0 when a > 0 and N(1) != 0 when b > 0, so N shares no factor
+    with the denominator, and equality of canonical forms is equality of
+    the functions.  The zero function has exponents (0, 0).
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("numerator", "exponents")
 
     def __init__(
         self,
         numerator: Polynomial | Scalar,
         denominator: Polynomial | Scalar = 1,
     ) -> None:
+        """numerator / denominator, where the denominator is c p^a (1-p)^b with c != 0."""
         num = _as_poly(numerator)
         den = _as_poly(denominator)
         if den.is_zero():
             raise DomainError("denominator must not be the zero polynomial")
-        if num.is_zero():
-            num, den = Polynomial(), Polynomial([1])
-        else:
-            common = polynomial_gcd(num, den)
-            if common.degree > 0:
-                num = num // common
-                den = den // common
-            lead = den.leading_coefficient()
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        rest, a, b = _divide_out(den.coefficients, den.degree, den.degree)
+        if len(rest) != 1:
+            raise DomainError(f"denominator {den} is not of the form c p^a (1-p)^b")
+        self._assign(num * (1 / Fraction(rest[0])), a, b)
+
+    @classmethod
+    def _reduced(cls, numerator: Polynomial, a: int, b: int) -> "RationalFunction":
+        """numerator / (p^a (1-p)^b), brought to canonical form."""
+        self = object.__new__(cls)
+        self._assign(numerator, a, b)
+        return self
+
+    def _assign(self, numerator: Polynomial, a: int, b: int) -> None:
+        coeffs, da, db = _divide_out(numerator.coefficients, a, b)
+        object.__setattr__(self, "numerator", Polynomial(coeffs))
+        object.__setattr__(self, "exponents", (a - da, b - db))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalFunction is immutable")
+
+    @property
+    def denominator(self) -> Polynomial:
+        """p^a (1-p)^b, expanded."""
+        return _power_product(*self.exponents)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -276,23 +285,27 @@ class RationalFunction:
             return NotImplemented
         return (
             self.numerator == other.numerator
-            and self.denominator == other.denominator
+            and self.exponents == other.exponents
         )
 
     def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
+        return hash((self.numerator, self.exponents))
 
     def __add__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = _as_rational(other)
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
+        (a1, b1), (a2, b2) = self.exponents, other.exponents
+        a, b = max(a1, a2), max(b1, b2)
+        return RationalFunction._reduced(
+            self.numerator * _power_product(a - a1, b - b1)
+            + other.numerator * _power_product(a - a2, b - b2),
+            a,
+            b,
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
+        return RationalFunction._reduced(-self.numerator, *self.exponents)
 
     def __sub__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         return self + (-_as_rational(other))
@@ -302,62 +315,36 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = _as_rational(other)
-        return RationalFunction(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
+        (a1, b1), (a2, b2) = self.exponents, other.exponents
+        return RationalFunction._reduced(self.numerator * other.numerator, a1 + a2, b1 + b2)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
-        other = _as_rational(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(
-            self.numerator * other.denominator,
-            self.denominator * other.numerator,
-        )
-
-    def __rtruediv__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
-        return _as_rational(other) / self
-
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.numerator.derivative() * self.denominator
-            - self.numerator * self.denominator.derivative(),
-            self.denominator * self.denominator,
-        )
-
-    def compose(self, inner: Polynomial) -> "RationalFunction":
-        return RationalFunction(
-            self.numerator.compose(inner),
-            self.denominator.compose(inner),
+        """(N' p(1-p) - a N (1-p) + b N p) / (p^(a+1) (1-p)^(b+1))."""
+        num, (a, b) = self.numerator, self.exponents
+        return RationalFunction._reduced(
+            num.derivative() * _power_product(1, 1) - num * ONE_MINUS_P * a + num * P_VAR * b,
+            a + 1,
+            b + 1,
         )
 
     def evaluate(self, x: Fraction) -> Fraction:
-        den = self.denominator.evaluate(x)
-        if den == 0:
+        a, b = self.exponents
+        if (a and x == 0) or (b and x == 1):
             raise PoleError(f"denominator vanishes at p = {x}")
-        return self.numerator.evaluate(x) / den
+        return self.numerator.evaluate(x) / (x**a * (1 - x) ** b)
 
     def integer_normalized(self) -> tuple[Polynomial, Polynomial]:
         """Scale to coprime integer coefficients for display.
 
-        The sign is chosen so the denominator's lowest-order nonzero
-        coefficient is positive, which reproduces the familiar forms
-        like p/(1 - p) instead of -p/(p - 1).
+        The denominator p^a (1-p)^b has coprime integer coefficients and
+        lowest-order coefficient 1, so scaling both sides by the lcm of the
+        numerator's coefficient denominators is enough; it reproduces the
+        familiar forms like p/(1 - p).
         """
-        coeffs = list(self.numerator.coefficients) + list(self.denominator.coefficients)
-        scale = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        ints = [int(c * scale) for c in coeffs]
-        shrink = gcd(*(abs(i) for i in ints if i)) if any(ints) else 1
-        factor = Fraction(scale, shrink)
-        num = self.numerator * factor
-        den = self.denominator * factor
-        lowest = next(c for c in den.coefficients if c != 0)
-        if lowest < 0:
-            num, den = -num, -den
-        return num, den
+        scale = lcm(*(c.denominator for c in self.numerator.coefficients))
+        return self.numerator * scale, self.denominator * scale
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
@@ -383,8 +370,9 @@ def differentiate(f: RationalFunction, order: int) -> RationalFunction:
 
 
 def mirror(f: RationalFunction) -> RationalFunction:
-    """Substitute p -> 1-p."""
-    return f.compose(ONE_MINUS_P)
+    """Substitute p -> 1-p: N(1-p) / ((1-p)^a p^b)."""
+    a, b = f.exponents
+    return RationalFunction._reduced(f.numerator.compose(ONE_MINUS_P), b, a)
 
 
 def _check_rule_caps(n: int, k: int, cap: int) -> None:
