@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import share as share_mod
-from .core import BirthProbability, Rule, as_probability, as_rule
+from .core import BirthProbability, Rule, _check_int, as_probability, as_rule
 from .errors import BracketingError, DomainError, NumericError
 from .series import (
     _check_tolerance,
@@ -160,8 +160,7 @@ def sweep(
             raise DomainError(
                 f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}"
             )
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+    _check_int("steps", steps, 2)
     if not (0.0 < p_start < p_end < 1.0):
         raise DomainError(
             f"the grid must satisfy 0 < p_start < p_end < 1, got [{p_start}, {p_end}]"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import analysis, montecarlo, series, share, symbolic
@@ -35,12 +36,7 @@ class OutputEnvelope:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,14 +71,6 @@ def _parse_quantity_list(text: str) -> list[str]:
     return tokens
 
 
-def _series_record(result: series.SeriesResult) -> dict[str, Any]:
-    return {
-        "value": result.value,
-        "tail_bound": result.tail_bound,
-        "terms_used": result.terms_used,
-    }
-
-
 def _series_line(name: str, result: series.SeriesResult) -> str:
     return (
         f"{name}: {result.value!r} "
@@ -103,9 +91,9 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         "tol": args.tol,
     }
     results = {
-        "boys": _series_record(boys),
-        "girls": _series_record(girls),
-        "family_size": _series_record(size),
+        "boys": asdict(boys),
+        "girls": asdict(girls),
+        "family_size": asdict(size),
         "ratio": ratio,
         "birth_odds": prob.odds,
     }
@@ -191,7 +179,7 @@ def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     }
     results = {
         "societal_share": societal,
-        "average_share": _series_record(average),
+        "average_share": asdict(average),
         "average_share_closed_form": closed,
         "gap": gap,
     }
@@ -354,16 +342,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         results=results,
         warnings=[str(w.message) for w in caught],
     )
-    if args.json:
-        print(json.dumps(envelope.as_dict(), indent=2))
-    else:
-        print(f"command: {envelope.command}")
-        for key, value in envelope.inputs.items():
-            print(f"{key}: {value!r}" if not isinstance(value, str) else f"{key}: {value}")
-        for line in human:
-            print(line)
-        for message in envelope.warnings:
-            print(f"warning: {message}")
+    try:
+        if args.json:
+            print(json.dumps(envelope.as_dict(), indent=2))
+        else:
+            print(f"command: {envelope.command}")
+            for key, value in envelope.inputs.items():
+                print(f"{key}: {value!r}" if not isinstance(value, str) else f"{key}: {value}")
+            for line in human:
+                print(line)
+            for message in envelope.warnings:
+                print(f"warning: {message}")
+        sys.stdout.flush()
+    except OSError as err:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # fail again; a reader that closed the pipe early needs no message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: {err}", file=sys.stderr)
+        return 1
     return code
 
 

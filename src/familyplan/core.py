@@ -24,13 +24,22 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
 # Enumeration is exponential in the worst case; the cap keeps 2^max_children
 # walks tractable unless a caller deliberately raises it.
 BRUTE_FORCE_CAP = 24
+
+
+def _check_int(name: str, value: object, minimum: int | None = None) -> int:
+    """Return value if it is an int (not a bool) and at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,11 +52,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         for name in ("boys_required", "girls_required"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise DomainError(f"{name} must be >= 0, got {value}")
+            _check_int(name, getattr(self, name), 0)
 
     @property
     def total_required(self) -> int:
@@ -149,10 +154,7 @@ def stopping_pmf_components(
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    if not isinstance(total_children, int) or isinstance(total_children, bool):
-        raise DomainError(f"total_children must be an integer, got {total_children!r}")
-    if total_children < 1:
-        raise DomainError(f"total_children must be >= 1, got {total_children}")
+    _check_int("total_children", total_children, 1)
 
     n, k = rule.boys_required, rule.girls_required
     if total_children < rule.total_required:
@@ -196,6 +198,36 @@ class TruncatedMoments:
     martingale: float
 
 
+def _family_statistics(
+    boys: int, girls: int, prob: BirthProbability
+) -> tuple[int, int, int, float, float]:
+    """The (boys, girls, total, girl share, martingale) of one stopped family.
+
+    The order is that of the TruncatedMoments fields after mass_covered.
+    The martingale boys/p - girls/(1-p) has mean zero at the stopping time
+    (optional stopping).
+    """
+    total = boys + girls
+    return boys, girls, total, girls / total, boys / prob.p - girls / prob.q
+
+
+def _outcome_moments(
+    entries: Iterable[tuple[int, int, float]], prob: BirthProbability
+) -> TruncatedMoments:
+    """Sum weight and weight * statistic over (boys, girls, weight) entries.
+
+    One fsum per field, so each field is the correctly rounded sum of its
+    products, whatever the order of the entries.
+    """
+    mass: list[float] = []
+    weighted: list[list[float]] = [[] for _ in range(5)]
+    for boys, girls, weight in entries:
+        mass.append(weight)
+        for column, stat in zip(weighted, _family_statistics(boys, girls, prob)):
+            column.append(weight * stat)
+    return TruncatedMoments(fsum(mass), *map(fsum, weighted))
+
+
 @lru_cache(maxsize=16)
 def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool], ...]:
     """All birth sequences of length <= limit, pruned at first satisfaction.
@@ -224,10 +256,7 @@ def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool
 
 
 def _check_enumeration_args(rule: Rule, max_children: int, cap: int) -> None:
-    if not isinstance(max_children, int) or isinstance(max_children, bool):
-        raise DomainError(f"max_children must be an integer, got {max_children!r}")
-    if max_children < 1:
-        raise DomainError(f"max_children must be >= 1, got {max_children}")
+    _check_int("max_children", max_children, 1)
     if max_children > cap:
         raise DomainError(
             f"max_children={max_children} exceeds the enumeration cap of {cap}; "
@@ -266,29 +295,12 @@ def enumerate_brute_force(
     _check_enumeration_args(rule, max_children, cap)
 
     pp, q = prob.p, prob.q
-    mass: list[float] = []
-    boys_acc: list[float] = []
-    girls_acc: list[float] = []
-    total_acc: list[float] = []
-    share_acc: list[float] = []
-    mart_acc: list[float] = []
-    for boys, girls, _last in _stopped_sequences(
-        rule.boys_required, rule.girls_required, max_children
-    ):
-        weight = pp**boys * q**girls
-        total = boys + girls
-        mass.append(weight)
-        boys_acc.append(weight * boys)
-        girls_acc.append(weight * girls)
-        total_acc.append(weight * total)
-        share_acc.append(weight * (girls / total))
-        mart_acc.append(weight * (boys / pp - girls / q))
-
-    return TruncatedMoments(
-        mass_covered=fsum(mass),
-        boys=fsum(boys_acc),
-        girls=fsum(girls_acc),
-        total=fsum(total_acc),
-        girl_share=fsum(share_acc),
-        martingale=fsum(mart_acc),
+    return _outcome_moments(
+        (
+            (boys, girls, pp**boys * q**girls)
+            for boys, girls, _last in _stopped_sequences(
+                rule.boys_required, rule.girls_required, max_children
+            )
+        ),
+        prob,
     )

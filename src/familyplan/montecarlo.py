@@ -14,19 +14,35 @@ All arithmetic is modulo 2^64.  Birth j of family i is a boy iff
 u(i, j) < p.
 
 The scalar path (``FamilyStream`` + ``simulate_family``) and the batched
-numpy path (``sample_outcomes`` + ``run_simulation``) evaluate the same
+numpy path (``sample_outcomes`` and ``run_simulation``) evaluate the same
 function and agree bit for bit.
+
+``run_simulation`` keeps no per-family arrays: each block of families is
+reduced to a count per distinct (boys, girls) outcome, blocks merge by
+adding counts, and every summary field is an fsum over the merged table.
+So the summary does not depend on the block size, and memory does not
+grow with the number of samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import sqrt
-from typing import Protocol
+from collections import Counter
+from dataclasses import asdict, astuple, dataclass
+from math import fsum, sqrt
+from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import BirthProbability, Rule, _require_stoppable, as_probability, as_rule
+from .core import (
+    BirthProbability,
+    Rule,
+    _check_int,
+    _family_statistics,
+    _outcome_moments,
+    _require_stoppable,
+    as_probability,
+    as_rule,
+)
 from .errors import BirthCapError, DomainError
 
 #: Per-family birth limit; hitting it means p is numerically degenerate.
@@ -37,6 +53,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U01 = 2.0**-53
+# Families per sampler block; bounds working memory, never changes results.
+_BLOCK_SIZE = 1 << 16
 
 
 def _mix64(x: int) -> int:
@@ -59,9 +77,7 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    return seed & _MASK64
+    return _check_int("seed", seed) & _MASK64
 
 
 class RandomSource(Protocol):
@@ -119,21 +135,7 @@ class SimulationSummary:
 
     def to_dict(self) -> dict[str, float | int]:
         """Flat record with stable field order, for serialization."""
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean_boys": self.mean_boys,
-            "mean_girls": self.mean_girls,
-            "mean_total": self.mean_total,
-            "mean_girl_share": self.mean_girl_share,
-            "mean_martingale": self.mean_martingale,
-            "se_boys": self.se_boys,
-            "se_girls": self.se_girls,
-            "se_total": self.se_total,
-            "se_girl_share": self.se_girl_share,
-            "se_martingale": self.se_martingale,
-            "ratio_estimate": self.ratio_estimate,
-        }
+        return asdict(self)
 
 
 def simulate_family(
@@ -158,45 +160,35 @@ def simulate_family(
             boys += 1
         else:
             girls += 1
-    total = boys + girls
-    return FamilyOutcome(
-        boys=boys,
-        girls=girls,
-        total=total,
-        martingale_terminal=boys / prob.p - girls / prob.q,
-        girl_share=girls / total,
-    )
+    boys, girls, total, share, martingale = _family_statistics(boys, girls, prob)
+    return FamilyOutcome(boys, girls, total, martingale_terminal=martingale, girl_share=share)
 
 
-def sample_outcomes(
+def _sample_blocks(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     samples: int,
     seed: int,
-    birth_cap: int = DEFAULT_BIRTH_CAP,
-    block_size: int = 1 << 16,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-family (boys, girls, total) arrays for family indices 0..samples-1.
+    birth_cap: int,
+    block_size: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-family (boys, girls) arrays, one pair per block of family indices.
 
     Batched evaluation of the same per-family streams as FamilyStream;
     block_size only controls working memory, never the results.
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_int("samples", samples, 1)
     seed = _check_seed(seed)
 
     n, k = rule.boys_required, rule.girls_required
-    boys = np.empty(samples, dtype=np.int64)
-    girls = np.empty(samples, dtype=np.int64)
-
     for start in range(0, samples, block_size):
         count = min(block_size, samples - start)
         index = np.arange(start, start + count, dtype=np.uint64)
         key = _mix64_array(np.uint64(seed) + (index + np.uint64(1)) * np.uint64(_GAMMA))
-        blk_boys = np.zeros(count, dtype=np.int64)
-        blk_girls = np.zeros(count, dtype=np.int64)
+        boys = np.zeros(count, dtype=np.int64)
+        girls = np.zeros(count, dtype=np.int64)
         active = np.arange(count)
         draws = 0
         while active.size:
@@ -208,21 +200,28 @@ def sample_outcomes(
             offset = np.uint64((draws * _GAMMA) & _MASK64)
             u = (_mix64_array(key[active] + offset) >> np.uint64(11)).astype(np.float64) * _U01
             is_boy = u < prob.p
-            blk_boys[active[is_boy]] += 1
-            blk_girls[active[~is_boy]] += 1
-            done = (blk_boys[active] >= n) & (blk_girls[active] >= k)
+            boys[active[is_boy]] += 1
+            girls[active[~is_boy]] += 1
+            done = (boys[active] >= n) & (girls[active] >= k)
             active = active[~done]
-        boys[start : start + count] = blk_boys
-        girls[start : start + count] = blk_girls
+        yield boys, girls
 
+
+def sample_outcomes(
+    rule: Rule | tuple[int, int],
+    p: BirthProbability | float,
+    samples: int,
+    seed: int,
+    birth_cap: int = DEFAULT_BIRTH_CAP,
+    block_size: int = _BLOCK_SIZE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-family (boys, girls, total) arrays for family indices 0..samples-1.
+
+    block_size only controls working memory, never the results.
+    """
+    blocks = _sample_blocks(rule, p, samples, seed, birth_cap, block_size)
+    boys, girls = map(np.concatenate, zip(*blocks))
     return boys, girls, boys + girls
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1)) / sqrt(values.size)
 
 
 def run_simulation(
@@ -235,36 +234,33 @@ def run_simulation(
     """Simulate independent families and aggregate all estimators.
 
     Deterministic: equal (rule, p, samples, seed) give bit-identical
-    summaries on one build, independent of chunking.
+    summaries, independent of chunking, from per-outcome counts whose
+    memory does not grow with samples.
     """
+    rule = as_rule(rule)
     prob = as_probability(p)
-    boys, girls, totals = sample_outcomes(rule, p, samples, seed, birth_cap)
+    n, k = rule.boys_required, rule.girls_required
+    # A stopped family has exactly n boys or exactly k girls, so its excess
+    # (boys - n) - (girls - k) identifies its outcome.
+    table: Counter[int] = Counter()
+    for boys, girls in _sample_blocks(rule, prob, samples, seed, birth_cap, _BLOCK_SIZE):
+        excess = (boys - n) - (girls - k)
+        low = int(excess.min())
+        counts = np.bincount(excess - low)
+        present = np.flatnonzero(counts)
+        table.update(dict(zip((present + low).tolist(), counts[present].tolist())))
+    outcomes = [(n + max(e, 0), k + max(-e, 0), count) for e, count in table.items()]
 
-    boys_f = boys.astype(np.float64)
-    girls_f = girls.astype(np.float64)
-    totals_f = totals.astype(np.float64)
-    shares = girls_f / totals_f
-    martingales = boys_f / prob.p - girls_f / prob.q
+    means = [total / samples for total in astuple(_outcome_moments(outcomes, prob))[1:]]
+    ses = [0.0] * len(means)
+    if samples > 1:
+        squares: list[list[float]] = [[] for _ in means]
+        for boys, girls, count in outcomes:
+            stats = _family_statistics(boys, girls, prob)
+            for column, stat, mean in zip(squares, stats, means):
+                column.append(count * (stat - mean) ** 2)
+        ses = [sqrt(fsum(column) / (samples - 1)) / sqrt(samples) for column in squares]
 
-    mean_boys, se_boys = _mean_se(boys_f)
-    mean_girls, se_girls = _mean_se(girls_f)
-    mean_total, se_total = _mean_se(totals_f)
-    mean_share, se_share = _mean_se(shares)
-    mean_mart, se_mart = _mean_se(martingales)
-
+    mean_boys, mean_girls = means[:2]
     ratio = mean_boys / mean_girls if mean_girls != 0.0 else float("inf")
-    return SimulationSummary(
-        samples=samples,
-        seed=_check_seed(seed),
-        mean_boys=mean_boys,
-        mean_girls=mean_girls,
-        mean_total=mean_total,
-        mean_girl_share=mean_share,
-        mean_martingale=mean_mart,
-        se_boys=se_boys,
-        se_girls=se_girls,
-        se_total=se_total,
-        se_girl_share=se_share,
-        se_martingale=se_mart,
-        ratio_estimate=ratio,
-    )
+    return SimulationSummary(samples, _check_seed(seed), *means, *ses, ratio)

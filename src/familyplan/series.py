@@ -27,6 +27,8 @@ from .core import (
     BirthProbability,
     Rule,
     TruncatedMoments,
+    _check_int,
+    _outcome_moments,
     _require_stoppable,
     as_probability,
     as_rule,
@@ -243,35 +245,14 @@ def truncated_moments(
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    if not isinstance(max_children, int) or isinstance(max_children, bool):
-        raise DomainError(f"max_children must be an integer, got {max_children!r}")
-    if max_children < 1:
-        raise DomainError(f"max_children must be >= 1, got {max_children}")
+    _check_int("max_children", max_children, 1)
 
     n, k = rule.boys_required, rule.girls_required
-    pp, q = prob.p, prob.q
-    mass: list[float] = []
-    boys_acc: list[float] = []
-    girls_acc: list[float] = []
-    total_acc: list[float] = []
-    share_acc: list[float] = []
-    mart_acc: list[float] = []
-    for t in range(pmf_support_min(rule), max_children + 1):
-        boy_last, girl_last = stopping_pmf_components(rule, prob, t)
-        mass.append(boy_last + girl_last)
-        boys_acc.append(n * boy_last + (t - k) * girl_last)
-        girls_acc.append((t - n) * boy_last + k * girl_last)
-        total_acc.append(t * (boy_last + girl_last))
-        share_acc.append(((t - n) / t) * boy_last + (k / t) * girl_last)
-        mart_acc.append(
-            (n / pp - (t - n) / q) * boy_last + ((t - k) / pp - k / q) * girl_last
-        )
 
-    return TruncatedMoments(
-        mass_covered=fsum(mass),
-        boys=fsum(boys_acc),
-        girls=fsum(girls_acc),
-        total=fsum(total_acc),
-        girl_share=fsum(share_acc),
-        martingale=fsum(mart_acc),
-    )
+    def addends():
+        for t in range(pmf_support_min(rule), max_children + 1):
+            boy_last, girl_last = stopping_pmf_components(rule, prob, t)
+            yield n, t - n, boy_last
+            yield t - k, k, girl_last
+
+    return _outcome_moments(addends(), prob)

@@ -31,6 +31,7 @@ from itertools import accumulate
 from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
+from .core import _check_int
 from .errors import DomainError, PoleError
 
 # Coefficient sizes blow up factorially with the derivative order; the cap
@@ -362,8 +363,7 @@ def _as_rational(value: "RationalFunction | Polynomial | Scalar") -> RationalFun
 
 def differentiate(f: RationalFunction, order: int) -> RationalFunction:
     """Exact order-th derivative, canonicalized after every step."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
+    _check_int("derivative order", order, 0)
     for _ in range(order):
         f = f.derivative()
     return f
@@ -377,8 +377,7 @@ def mirror(f: RationalFunction) -> RationalFunction:
 
 def _check_rule_caps(n: int, k: int, cap: int) -> None:
     for name, value in (("n", n), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
+        _check_int(name, value, 0)
     if n + k < 1:
         raise DomainError("the (0,0) rule has no expected-boys function")
     if n > cap or k > cap:

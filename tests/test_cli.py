@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import familyplan
 from familyplan import cli
 
 
@@ -213,3 +216,28 @@ class TestParserBehaviour:
             cli.main(["--help"])
         assert excinfo.value.code == 0
         assert "exact" in capsys.readouterr().out
+
+
+class TestClosedOutput:
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # The read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe, every time.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(familyplan.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["exact", "-n", "1", "-k", "1", "-p", "0.5", "--json"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "familyplan.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr

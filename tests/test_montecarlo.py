@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,14 +124,45 @@ class TestRunSimulation:
         assert first != second
 
     def test_summary_matches_raw_outcome_arrays(self):
-        rule, p, samples, seed = (2, 0), 0.6, 50_000, 9
-        summary = mc.run_simulation(rule, p, samples, seed)
-        boys, girls, totals = mc.sample_outcomes(rule, p, samples, seed)
-        assert summary.mean_boys == np.mean(boys.astype(np.float64))
-        assert summary.mean_total == np.mean(totals.astype(np.float64))
-        assert summary.ratio_estimate == summary.mean_boys / summary.mean_girls
-        expected_se = np.std(totals.astype(np.float64), ddof=1) / math.sqrt(samples)
-        assert summary.se_total == pytest.approx(expected_se, rel=1e-12)
+        samples, seed = 50_000, 9
+        for rule, p in (((2, 0), 0.6), ((2, 3), 0.3)):
+            summary = mc.run_simulation(rule, p, samples, seed)
+            raw = mc.sample_outcomes(rule, p, samples, seed)
+            boys, girls, totals = (values.astype(np.float64) for values in raw)
+            columns = {
+                "boys": boys,
+                "girls": girls,
+                "total": totals,
+                "girl_share": girls / totals,
+                "martingale": boys / p - girls / (1.0 - p),
+            }
+            for name, values in columns.items():
+                mean = getattr(summary, f"mean_{name}")
+                if name in ("boys", "girls", "total"):
+                    # sums of integers below 2^53 are exact in any order
+                    assert mean == np.mean(values)
+                else:
+                    assert mean == pytest.approx(np.mean(values), rel=1e-12)
+                expected_se = np.std(values, ddof=1) / math.sqrt(samples)
+                assert getattr(summary, f"se_{name}") == pytest.approx(expected_se, rel=1e-12)
+            assert summary.ratio_estimate == summary.mean_boys / summary.mean_girls
+
+    def test_block_size_never_changes_the_summary(self, monkeypatch):
+        args = ((2, 1), 0.37, 5000, 11)
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 64)
+        small = mc.run_simulation(*args)
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 1 << 16)
+        assert mc.run_simulation(*args) == small
+
+    def test_memory_does_not_grow_with_samples(self):
+        # per-family arrays for 1e6 families would need about 69 MB
+        tracemalloc.start()
+        try:
+            mc.run_simulation((1, 1), 0.5, 10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_seed_is_masked_to_64_bits(self):
         wide = mc.run_simulation((1, 1), 0.5, 1000, 2**64 + 5)
