@@ -54,20 +54,20 @@ def crossing_probability(
 
     Scans SCAN_POINTS points on [SCAN_LOW, SCAN_HIGH] for a sign change of
     F_a - F_b, then bisects the leftmost bracket until it is narrower than
-    tol.  Series evaluations run at tol/10 so truncation error cannot flip
-    a bracketing sign.  Raises BracketingError when the curves never cross;
-    warns via MultipleCrossingsWarning when more than one bracket exists.
+    tol.  Each family size is correctly rounded, so only rounding can
+    flip a bracketing sign.  Raises BracketingError when the curves never
+    cross; warns via MultipleCrossingsWarning when more than one bracket
+    exists.
     """
     rule_a = as_rule(rule_a)
     rule_b = as_rule(rule_b)
     tol = _check_tolerance(tol)
-    series_tol = tol / 10.0
 
     def difference(p: float) -> float:
         prob = BirthProbability(p)
         return (
-            expected_family_size(rule_a, prob, series_tol).value
-            - expected_family_size(rule_b, prob, series_tol).value
+            expected_family_size(rule_a, prob, tol).value
+            - expected_family_size(rule_b, prob, tol).value
         )
 
     step = (SCAN_HIGH - SCAN_LOW) / (SCAN_POINTS - 1)
@@ -146,8 +146,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate each quantity for each rule on a uniform p grid.
 
-    A cell whose series evaluation fails numerically is marked NaN instead
-    of aborting the sweep.  Rows are ordered by grid index; columns by
+    A cell that fails numerically (a value beyond float64, or an
+    average_share series that cannot converge) is marked NaN instead of
+    aborting the sweep.  Rows are ordered by grid index; columns by
     quantity kind, then rule.
     """
     parsed_rules = [as_rule(r) for r in rules]

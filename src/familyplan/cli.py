@@ -4,7 +4,7 @@ Subcommands: exact, simulate, verify, share, crossing, sweep.  Every
 invocation prints one record, either human-readable key/value lines or
 (with --json) a single JSON envelope carrying identical values.  Exit
 codes: 0 success, 1 domain error (invalid rule, probability, arguments),
-2 numeric failure (term cap, no bracket, identity violation).
+2 numeric failure (term cap, overflow, no bracket, identity violation).
 """
 
 from __future__ import annotations
@@ -266,7 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, rule_args],
         help="expected boys, girls, family size, and the gender ratio",
     )
-    exact.add_argument("--tol", type=float, default=DEFAULT_TOL, help="series tolerance (default 1e-10)")
+    exact.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="checked but unused: B, G and F are exact finite sums, rounded once (default 1e-10)",
+    )
 
     simulate = sub.add_parser(
         "simulate",

@@ -217,14 +217,24 @@ def _outcome_moments(
     """Sum weight and weight * statistic over (boys, girls, weight) entries.
 
     One fsum per field, so each field is the correctly rounded sum of its
-    products, whatever the order of the entries.
+    products, whatever the order of the entries.  The statistics of an
+    outcome are computed once, however many entries share it.
     """
+    stats: dict[tuple[int, int], tuple[int, int, int, float, float]] = {}
     mass: list[float] = []
     weighted: list[list[float]] = [[] for _ in range(5)]
+    boys_w, girls_w, total_w, share_w, martingale_w = weighted
     for boys, girls, weight in entries:
+        key = boys, girls
+        if key not in stats:
+            stats[key] = _family_statistics(boys, girls, prob)
+        b, g, total, share, martingale = stats[key]
         mass.append(weight)
-        for column, stat in zip(weighted, _family_statistics(boys, girls, prob)):
-            column.append(weight * stat)
+        boys_w.append(weight * b)
+        girls_w.append(weight * g)
+        total_w.append(weight * total)
+        share_w.append(weight * share)
+        martingale_w.append(weight * martingale)
     return TruncatedMoments(fsum(mass), *map(fsum, weighted))
 
 

@@ -1,20 +1,22 @@
-"""Truncated-series evaluation of the rule expectations, with tail bounds.
+"""Expected boys, girls and family size by Wald's finite sum; the girl-share series.
 
-Every expectation here is a sum over family sizes T >= n + k of a weight
-times one of the two pmf addends from :mod:`familyplan.core`: families
-closed by their n-th boy and families closed by their k-th girl.  With m
-the closing count and x the probability of the other sex, a branch's
-addend has successor ratio T*x/(T+1-m), nonincreasing in T.  Each weight
-has the form w(T) = a*T + b, optionally divided by T, with a >= 0; where
-its ratio w(T+1)/w(T) exceeds 1 that ratio is nonincreasing too.  So once
-w(T) > 0 the one tail rule
+The rule (n, k) stops at T = max(T_B(n), T_G(k)), the later of the n-th boy
+and the k-th girl.  By optional stopping (Wald 1944) E[B] = p*E[T],
+E[G] = q*E[T] and E[T] = n/p + k/q - E[min(T_B(n), T_G(k))], where
 
-    r = T*x/(T+1-m) * max(1, w(T+1)/w(T))
+    E[min] = n p^n sum_{g<k} C(n+g, g) q^g + k q^k sum_{b<n} C(k+b, b) p^b.
 
-bounds every later term ratio, and when r < 1 the dropped tail is at most
-term * r / (1 - r).  That is the tail bound reported in every
-SeriesResult.  It bounds the truncation only, not the floating-point
-rounding of the summed terms.
+The float p is exactly a/2^e, so that sum is evaluated in integers and
+divided once: each value is the correctly rounded expectation at p, with
+tail_bound 0.  The cost grows like (n + k)^2.
+
+average_share, E[girls/T], sums the pmf addends of families closed by the
+n-th boy, weighted (T-n)/T, and by the k-th girl, weighted k/T, over
+T >= n + k.  With m the closing count and x the other sex's probability,
+once the weight is positive r = T*x/(T+1-m) * max(1, w(T+1)/w(T)) bounds
+every later term ratio (both factors are nonincreasing in T), so when
+r < 1 the dropped tail is at most term * r / (1 - r).  tail_bound adds a
+running rounding bound (Higham, Accuracy and Stability, ch. 3).
 """
 
 from __future__ import annotations
@@ -37,31 +39,24 @@ from .core import (
 )
 from .errors import DomainError, ExtremeProbabilityError, NumericError, TermCapError
 
-# Term counts scale like 1/min(p, 1-p); refuse probabilities that would
-# burn the cap instead of converging.
+# The girl-share series needs ~1/min(p, 1-p) terms; refuse p that would burn the cap.
 SERIES_P_MIN = 1e-6
 TERM_CAP = 100_000
 
 CLOSED_FORM_QUANTITIES = ("F_H", "F_S", "G_H", "G_S", "B_H", "B_S")
 
-# Weights (a, b) meaning a*T + b on families closed by a boy and by a girl,
-# for a rule (n, k); the flag divides both weights by T.
-_WEIGHTS = {
-    "boys": (lambda n, k: ((0, n), (1, -k)), False),
-    "family_size": (lambda n, k: ((1, 0), (1, 0)), False),
-    "girl_share": (lambda n, k: ((1, -n), (0, k)), True),
-}
+_UNIT = 2.0**-53
+# Roundings in one girl-share term w * (C * p**boys * q**girls): the weight
+# quotient, C to float, three products and two pows, each within one ulp
+# (two units); one more per girl when q = 1 - p is inexact.
+_TERM_ROUNDINGS = 9
 
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A truncated series value with a bound on the dropped tail.
-
-    tail_bound covers truncation only; the rounding of the summed terms is
-    not included.  Near float64 precision the value can sit farther from
-    the exact sum than that: expected_family_size((5,0), 0.3, 1e-13) is
-    9.89e-14 from 5/p against a tail_bound of 8.17e-14.
-    """
+    """A value and a bound on its distance from the exact expectation: 0 for
+    the finite sums, rounded once (terms_used n + k), and for average_share
+    the dropped tail plus the rounding of the summed terms."""
 
     value: float
     tail_bound: float
@@ -74,69 +69,83 @@ class SeriesResult:
             raise DomainError("tail_bound must be >= 0")
 
 
-def _check_series_probability(prob: BirthProbability) -> BirthProbability:
-    if not SERIES_P_MIN <= prob.p <= 1.0 - SERIES_P_MIN:
-        raise ExtremeProbabilityError(
-            f"p={prob.p!r} is outside [{SERIES_P_MIN}, {1.0 - SERIES_P_MIN}]; "
-            "series evaluation would need an impractical number of terms"
-        )
-    return prob
-
-
 def _check_tolerance(tol: float) -> float:
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be a positive real, got {tol!r}")
     return float(tol)
 
 
-def _weighted_series(
+def _horner(m: int, count: int, x: int, e: int) -> int:
+    """sum_{j<count} C(m+j, j) x^j 2^(e*(count-1-j)), by Horner in x."""
+    total, coefficient = 0, comb(m + count - 1, count - 1)
+    for j in range(count - 1, -1, -1):
+        total = total * x + (coefficient << e * (count - 1 - j))
+        coefficient = coefficient * j // (m + j)
+    return total
+
+
+def _wald_sum(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     tol: float,
     quantity: str,
 ) -> SeriesResult:
-    """Sum a quantity's weighted pmf addends until the tail rule meets tol.
+    """E[T] times p ("boys"), q ("girls") or 1 ("family_size"), rounded once."""
+    rule = _require_stoppable(as_rule(rule))
+    prob = as_probability(p)
+    _check_tolerance(tol)
+    n, k = rule.boys_required, rule.girls_required
+    a, power = prob.p.as_integer_ratio()
+    e, c = power.bit_length() - 1, power - a
+    # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)))
+    mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
+    numerator = ((n * c + k * a) << e * (n + k)) - a * c * mins
+    scale = {"boys": c << e, "girls": a << e, "family_size": a * c}[quantity]
+    try:
+        value = numerator / (scale << e * (n + k - 1))
+    except OverflowError:
+        raise NumericError(f"{quantity} of rule ({n},{k}) at p={prob.p!r} overflows float64") from None
+    return SeriesResult(value=value, tail_bound=0.0, terms_used=n + k)
 
-    When both branches can close a family each gets half of tol.  Terms are
-    accumulated with fsum, so each branch value is its correctly rounded
-    partial sum.
+
+def _weighted_series(
+    rule: Rule | tuple[int, int],
+    p: BirthProbability | float,
+    tol: float,
+) -> SeriesResult:
+    """Sum the girl-share terms until the tail rule meets tol.
+
+    Each branch gets an equal part of tol and is summed by one fsum.
     """
     rule = _require_stoppable(as_rule(rule))
-    prob = _check_series_probability(as_probability(p))
+    prob = as_probability(p)
+    if not SERIES_P_MIN <= prob.p <= 1.0 - SERIES_P_MIN:
+        message = f"p={prob.p!r} is outside [{SERIES_P_MIN}, {1.0 - SERIES_P_MIN}]; "
+        raise ExtremeProbabilityError(message + "series evaluation would need an impractical number of terms")
     tol = _check_tolerance(tol)
-
     n, k = rule.boys_required, rule.girls_required
     pp, q = prob.p, prob.q
-    weights, per_child = _WEIGHTS[quantity]
-    boy_closed, girl_closed = weights(n, k)
-    # (closing count m, other-sex probability x, weight, boys and girls
-    # added per extra child); both branches start at T = n + k.
-    branches = [
-        branch
-        for branch in ((n, q, boy_closed, 0, 1), (k, pp, girl_closed, 1, 0))
-        if branch[0] >= 1
-    ]
+    q_inexact = fsum((1.0, -pp, -q)) != 0.0
+    # (closing count m, other-sex probability x, boys and girls per extra child)
+    branches = [b for b in ((n, q, 0, 1), (k, pp, 1, 0)) if b[0] >= 1]
     branch_tol = tol / len(branches)
-    cap = TERM_CAP
-    values: list[float] = []
-    bounds: list[float] = []
-    terms_used = 0
-    for m, x, (a, b), add_boys, add_girls in branches:
+    values, bounds, terms_used = [], [], 0
+    for m, x, add_boys, add_girls in branches:
         size, boys, girls = n + k, n, k
-        w = (a * size + b) / size if per_child else a * size + b
+        w = girls / size
         terms: list[float] = []
-        last = size + cap
+        girl_terms = 0.0  # running sum of term * girls
+        last = size + TERM_CAP
         while True:
             try:
                 t = w * (comb(size - 1, m - 1) * pp**boys * q**girls)
             except OverflowError:
-                raise NumericError(
-                    f"series term at T={size} overflows float64 for rule "
-                    f"({n},{k}) at p={pp!r}"
-                ) from None
+                message = f"series term at T={size} overflows float64 for rule ({n},{k}) at p={pp!r}"
+                raise NumericError(message) from None
             terms.append(t)
+            girl_terms += t * girls
             following = size + 1
-            w_next = (a * following + b) / following if per_child else a * following + b
+            w_next = (girls + add_girls) / following
             if w > 0:
                 # the module's tail rule; the weight ratio counts only above 1
                 r = size * x / (following - m)
@@ -147,20 +156,20 @@ def _weighted_series(
                     if bound <= branch_tol:
                         break
             if following >= last:
-                raise TermCapError(
-                    f"series did not reach tolerance {tol} within {cap} terms"
-                )
-            size = following
+                raise TermCapError(f"series did not reach tolerance {tol} within {TERM_CAP} terms")
+            size, w = following, w_next
             boys += add_boys
             girls += add_girls
-            w = w_next
-        values.append(fsum(terms))
-        bounds.append(bound)
+        value = fsum(terms)
+        # u / (1 - m u) is Higham's gamma_m per rounding, m the most in any term
+        gamma = _UNIT / (1.0 - (_TERM_ROUNDINGS + q_inexact * girls) * _UNIT)
+        values.append(value)
+        bounds += [bound, gamma * (_TERM_ROUNDINGS * value + q_inexact * girl_terms), _UNIT * value]
         terms_used += len(terms)
 
-    return SeriesResult(
-        value=fsum(values), tail_bound=fsum(bounds), terms_used=terms_used
-    )
+    value = fsum(values)
+    bounds.append(_UNIT * value)
+    return SeriesResult(value=value, tail_bound=fsum(bounds), terms_used=terms_used)
 
 
 def expected_boys(
@@ -168,11 +177,8 @@ def expected_boys(
     p: BirthProbability | float,
     tol: float,
 ) -> SeriesResult:
-    """Expected number of boys at the stopping time.
-
-    Boy-last families contribute weight n, girl-last families weight T - k.
-    """
-    return _weighted_series(rule, p, tol, "boys")
+    """Expected number of boys at the stopping time, p*E[T]; tol is unused."""
+    return _wald_sum(rule, p, tol, "boys")
 
 
 def expected_girls(
@@ -180,10 +186,8 @@ def expected_girls(
     p: BirthProbability | float,
     tol: float,
 ) -> SeriesResult:
-    """Expected number of girls, via the swap symmetry G(n,k,p) = B(k,n,1-p)."""
-    rule = _require_stoppable(as_rule(rule))
-    prob = as_probability(p)
-    return expected_boys(rule.mirrored(), BirthProbability(prob.q), tol)
+    """Expected number of girls at the stopping time, q*E[T]; tol is unused."""
+    return _wald_sum(rule, p, tol, "girls")
 
 
 def expected_family_size(
@@ -191,8 +195,8 @@ def expected_family_size(
     p: BirthProbability | float,
     tol: float,
 ) -> SeriesResult:
-    """Expected number of children E(T) at the stopping time."""
-    return _weighted_series(rule, p, tol, "family_size")
+    """Expected number of children E(T) at the stopping time; tol is unused."""
+    return _wald_sum(rule, p, tol, "family_size")
 
 
 def gender_ratio(
@@ -200,13 +204,9 @@ def gender_ratio(
     p: BirthProbability | float,
     tol: float,
 ) -> float:
-    """Ratio of expected boys to expected girls.
-
-    Equals the birth odds p/(1-p) for every rule, up to truncation error.
-    """
-    boys = expected_boys(rule, p, tol)
-    girls = expected_girls(rule, p, tol)
-    return boys.value / girls.value
+    """Ratio of expected boys to expected girls: the birth odds p/(1-p) for
+    every rule, within two ulps, as B and G are each correctly rounded."""
+    return expected_boys(rule, p, tol).value / expected_girls(rule, p, tol).value
 
 
 def closed_form(quantity: str, p: BirthProbability | float) -> float:

@@ -54,9 +54,10 @@ def average_share(
     """E[girls / T]: the pmf addends weighted by each branch's girl fraction.
 
     Boy-last families of size T hold T - n girls, girl-last families hold
-    exactly k, so the weights are (T-n)/T and k/T.
+    exactly k, so the weights are (T-n)/T and k/T.  It is the package's one
+    truncated series: tail_bound covers its truncation and its rounding.
     """
-    return _weighted_series(rule, p, tol, "girl_share")
+    return _weighted_series(rule, p, tol)
 
 
 def shammai_average_share_closed_form(p: BirthProbability | float) -> float:

@@ -50,11 +50,16 @@ class TestSweep:
         assert rows[0].quantities["G(1,1)"] == pytest.approx(1.236068, abs=1e-5)
 
     def test_overflowing_cell_is_nan(self):
-        # a (300,0) series term exceeds float64 at p=0.1; at even odds
-        # the same rule still evaluates
+        # a (300,0) average-share series term exceeds float64 at p=0.1; at
+        # even odds the same rule still evaluates
+        rows = analysis.sweep([(300, 0)], ["average_share"], 0.1, 0.5, 2, 1e-10)
+        assert math.isnan(rows[0].quantities["average_share(300,0)"])
+        assert 0.499 < rows[1].quantities["average_share(300,0)"] < 0.5
+
+    def test_large_rule_cells_are_exact(self):
         rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
-        assert math.isnan(rows[0].quantities["F(300,0)"])
-        assert rows[1].quantities["F(300,0)"] == pytest.approx(600.0, rel=1e-9)
+        assert rows[0].quantities["F(300,0)"] == 3000.0
+        assert rows[1].quantities["F(300,0)"] == 600.0
 
     def test_rows_are_monotone_and_aligned(self):
         rows = analysis.sweep([(1, 1), (2, 0)], ["F", "G", "B"], 0.2, 0.8, 13, 1e-8)
@@ -72,10 +77,12 @@ class TestSweep:
         assert first == second
 
     def test_failed_cells_marked_not_fatal(self):
-        # 1e-7 is a legal probability but below the series guard band
-        rows = analysis.sweep([(1, 1)], ["F"], 1e-7, 0.5, 2, 1e-10)
-        assert math.isnan(rows[0].quantities["F(1,1)"])
-        assert rows[1].quantities["F(1,1)"] == pytest.approx(3.0, abs=1e-8)
+        # 1e-7 is a legal probability but below the series guard band;
+        # the finite-sum F needs no guard band
+        rows = analysis.sweep([(1, 1)], ["average_share", "F"], 1e-7, 0.5, 2, 1e-10)
+        assert math.isnan(rows[0].quantities["average_share(1,1)"])
+        assert rows[0].quantities["F(1,1)"] == pytest.approx(1e7, rel=1e-6)
+        assert rows[1].quantities["average_share(1,1)"] == pytest.approx(0.5, abs=1e-8)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -131,8 +131,8 @@ class TestSeriesOverflow:
     @pytest.mark.parametrize(
         "args",
         [
-            ["exact", "-n", "1100", "-k", "0", "-p", "0.5"],
             ["share", "-n", "300", "-k", "0", "-p", "0.1"],
+            ["exact", "-n", "1", "-k", "1", "-p", "5e-324"],
         ],
     )
     def test_term_overflow_exits_with_numeric_failure(self, run_cli, args):
@@ -141,6 +141,11 @@ class TestSeriesOverflow:
         assert out == ""
         assert err.startswith("error:")
         assert "overflows float64" in err
+
+    def test_large_rule_is_exact(self, run_cli):
+        code, out, _ = run_cli(["exact", "-n", "1100", "-k", "0", "-p", "0.5"])
+        assert code == 0
+        assert "boys: 1100.0 (tail_bound 0.0, terms 1100)" in out
 
 
 class TestCrossing:

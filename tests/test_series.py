@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from familyplan import core, series, share
-from familyplan.errors import DomainError, ExtremeProbabilityError, TermCapError
+from familyplan import core, series, share, symbolic
+from familyplan.errors import DomainError, ExtremeProbabilityError, NumericError, TermCapError
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -38,16 +41,32 @@ class TestExpectedBoys:
         with pytest.raises(DomainError):
             series.expected_boys((1, 1), 0.5, -1e-9)
 
+    @pytest.mark.parametrize("p", [1e-5, 1e-9, 1.0 - 1e-9])
+    def test_extreme_probability_is_exact(self, p):
+        # F(1,1) = 1/p + 1/q - 1, rounded once; a series would need ~1/p terms
+        exact = 1 / Fraction(p) + 1 / (1 - Fraction(p)) - 1
+        assert series.expected_family_size((1, 1), p, 1e-10).value == float(exact)
+
+    def test_overflow_is_a_numeric_error(self):
+        with pytest.raises(NumericError):
+            series.expected_family_size((1, 1), 5e-324, 1e-10)
+
+    def test_large_rule_needs_no_series(self):
+        assert series.expected_boys((1100, 0), 0.5, 1e-10).value == 1100.0
+        assert series.expected_family_size((300, 0), 0.1, 1e-10).value == 3000.0
+
+
+class TestAverageShareSeries:
     def test_extreme_probability_fails_fast(self):
         with pytest.raises(ExtremeProbabilityError):
-            series.expected_boys((1, 1), 1e-9, 1e-10)
+            share.average_share((1, 1), 1e-9, 1e-10)
         with pytest.raises(ExtremeProbabilityError):
-            series.expected_boys((1, 1), 1.0 - 1e-9, 1e-10)
+            share.average_share((1, 1), 1.0 - 1e-9, 1e-10)
 
     def test_term_cap_reported(self, monkeypatch):
         monkeypatch.setattr(series, "TERM_CAP", 5)
         with pytest.raises(TermCapError):
-            series.expected_boys((1, 1), 0.5, 1e-12)
+            share.average_share((1, 1), 0.5, 1e-12)
 
 
 class TestExpectedGirls:
@@ -172,3 +191,56 @@ class TestTruncatedMoments:
             assert getattr(truncated, name) == pytest.approx(
                 getattr(oracle, name), abs=1e-12
             ), name
+
+
+CAP_RULES = [
+    (n, k)
+    for n in range(symbolic.EXACT_RULE_CAP + 1)
+    for k in range(symbolic.EXACT_RULE_CAP + 1)
+    if n + k
+]
+
+
+class TestWaldFiniteSum:
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    def test_correctly_rounded_on_the_whole_cap_grid(self, p):
+        exact_p = Fraction(p)
+        for n, k in CAP_RULES:
+            boys = symbolic.evaluate_exact(symbolic.expected_boys_exact(n, k), exact_p)
+            girls = symbolic.evaluate_exact(symbolic.expected_girls_exact(n, k), exact_p)
+            assert series.expected_boys((n, k), p, 1e-10).value == float(boys)
+            assert series.expected_girls((n, k), p, 1e-10).value == float(girls)
+            assert series.expected_family_size((n, k), p, 1e-10).value == float(boys + girls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+    )
+    def test_girls_mirror_boys_where_one_minus_p_is_exact(self, n, k, p):
+        assume(n + k >= 1 and Fraction(1.0 - p) == 1 - Fraction(p))
+        girls = series.expected_girls((n, k), p, 1e-10)
+        boys = series.expected_boys((k, n), 1.0 - p, 1e-10)
+        assert girls == boys
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 60), st.integers(0, 60), st.floats(0.05, 0.95))
+    def test_truncated_moments_approach_from_below(self, n, k, p):
+        assume(n + k >= 1)
+        boys = series.expected_boys((n, k), p, 1e-10).value
+        size = series.expected_family_size((n, k), p, 1e-10).value
+        horizon = 2 * math.ceil(size) + 2 * (n + k)
+        # every later pmf addend ratio is below r, so the families beyond
+        # the horizon hold E[T; T > H] <= (H + 1/(1-r)^2) P(T > H)
+        r = max(horizon * x / (horizon + 1 - m) for m, x in ((n, 1 - p), (k, p)) if m)
+        assert r < 1.0
+        truncated = series.truncated_moments((n, k), p, horizon)
+        dropped = 1.0 - truncated.mass_covered
+        slack = 1e-12 * size + horizon * 1e-15
+        size_deficit = size - truncated.total
+        boys_deficit = boys - truncated.boys
+        assert (horizon + 1) * dropped - slack <= size_deficit
+        assert size_deficit <= (horizon + 1 / (1 - r) ** 2) * dropped + slack
+        assert n * dropped - slack <= boys_deficit <= size_deficit + slack

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,47 @@ from familyplan.errors import DomainError
 
 TWO_LN_TWO_MINUS_ONE = 2.0 * math.log(2.0) - 1.0
 P_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
+FIXED_POINT = 200
+
+
+def exact_average_share(n, k, p):
+    """E[girls/T] at the float p = a/2^e, enclosed in [lo, hi] within 2^-129.
+
+    Each weighted pmf addend C(T-1, m-1) c^m x^(T-m) girls / (T 2^(eT)) is
+    an exact integer expression, floored to FIXED_POINT bits; a branch
+    stops once its next addend ratio r is below 1 and the addend times
+    r/(1-r), which bounds the rest (the weights are at most 1), is below
+    2^-130.
+    """
+    a, power = p.as_integer_ratio()
+    e = power.bit_length() - 1
+    total, slack = 0, 0
+    for m, other, closing, boy_closed in ((n, power - a, a, True), (k, a, power - a, False)):
+        if m < 1:
+            continue
+        size = n + k
+        addend = math.comb(size - 1, m - 1) * closing**m * other ** (size - m)
+        while True:
+            girls = size - n if boy_closed else k
+            total += (addend * girls << FIXED_POINT) // (size << e * size)
+            slack += 1
+            ratio_num, ratio_den = size * other, power * (size + 1 - m)
+            if ratio_num < ratio_den and (
+                (addend * ratio_num << 130) < (ratio_den - ratio_num) << e * size
+            ):
+                slack += 1 << (FIXED_POINT - 130)
+                break
+            addend = addend * size * other // (size + 1 - m)
+            size += 1
+    return Fraction(total, 1 << FIXED_POINT), Fraction(total + slack, 1 << FIXED_POINT)
+
+
+def assert_bound_covers_exact_sum(rule, p, tols):
+    lo, hi = exact_average_share(*rule, p)
+    for tol in tols:
+        result = share.average_share(rule, p, tol)
+        value = Fraction(result.value)
+        assert max(abs(value - lo), abs(value - hi)) <= Fraction(result.tail_bound)
 
 
 class TestSocietalShare:
@@ -90,6 +132,18 @@ class TestClosedForm:
         result = share.average_share(rule, p, tol)
         assert result.tail_bound <= tol
         assert abs(result.value - exact(p)) <= result.tail_bound + 1e-14
+
+    @pytest.mark.parametrize("rule", [(n, k) for n in range(7) for k in range(7) if n + k])
+    def test_bound_covers_rounding_on_the_dyadic_grid(self, rule):
+        # p = j/16 and 1 - p are exact; the truncation bound alone falls
+        # short by up to 2e-17 here, e.g. (1,0) at p=1/16 and tol 1e-12
+        for j in range(1, 16):
+            assert_bound_covers_exact_sum(rule, j / 16, (1e-10, 1e-12, 1e-13))
+
+    @pytest.mark.parametrize("rule", [(2, 0), (3, 2), (6, 3), (2, 5), (6, 6)])
+    def test_bound_covers_an_inexact_one_minus_p(self, rule):
+        # 1 - 0.03 is rounded, and that error grows with the girls in a term
+        assert_bound_covers_exact_sum(rule, 0.03, (1e-13, 1e-15))
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_average_share_strictly_below_societal_share(self, p):
