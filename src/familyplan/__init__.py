@@ -3,10 +3,10 @@
 A rule (n, k) means a couple keeps having children until at least n boys
 and k girls have been born, each birth being a boy with probability p.
 The package computes the resulting family demographics four independent
-ways (closed forms; Wald's finite sum, correctly rounded, with a truncated
-series and its error bound for the average girl share; exact
-rational-function algebra; and seeded Monte Carlo) and checks them against
-a brute-force enumeration of raw birth sequences.  The headline invariant:
+ways (closed forms; Wald's finite sum and, for the average girl share, a
+logarithmic closed form, each correctly rounded; exact rational-function
+algebra; and seeded Monte Carlo) and checks them against a brute-force
+enumeration of raw birth sequences.  The headline invariant:
 the ratio of expected boys to expected girls equals the birth odds
 p/(1-p) for every rule.
 """

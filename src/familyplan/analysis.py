@@ -20,6 +20,7 @@ from .core import BirthProbability, Rule, _check_int, as_probability, as_rule
 from .errors import BracketingError, DomainError, NumericError
 from .series import (
     _check_tolerance,
+    _wald_fraction,
     expected_boys,
     expected_family_size,
     expected_girls,
@@ -54,37 +55,46 @@ def crossing_probability(
 
     Scans SCAN_POINTS points on [SCAN_LOW, SCAN_HIGH] for a sign change of
     F_a - F_b, then bisects the leftmost bracket until it is narrower than
-    tol.  Each family size is correctly rounded, so only rounding can
-    flip a bracketing sign.  Raises BracketingError when the curves never
-    cross; warns via MultipleCrossingsWarning when more than one bracket
-    exists.
+    tol.  Each sign is exact: the family sizes are correctly rounded, so a
+    nonzero float difference has the sign of the exact one, and a zero
+    float difference is settled on the exact Wald fractions.  A grid point
+    is a root only where the exact difference is 0.  Raises
+    BracketingError when the curves never cross; warns via
+    MultipleCrossingsWarning when more than one bracket exists.
     """
     rule_a = as_rule(rule_a)
     rule_b = as_rule(rule_b)
     tol = _check_tolerance(tol)
 
-    def difference(p: float) -> float:
+    def sign(p: float) -> int:
         prob = BirthProbability(p)
-        return (
+        difference = (
             expected_family_size(rule_a, prob, tol).value
             - expected_family_size(rule_b, prob, tol).value
         )
+        if difference:
+            return 1 if difference > 0.0 else -1
+        (num_a, den_a), (num_b, den_b) = (
+            _wald_fraction(rule, prob, "family_size") for rule in (rule_a, rule_b)
+        )
+        cross = num_a * den_b - num_b * den_a
+        return (cross > 0) - (cross < 0)
 
     step = (SCAN_HIGH - SCAN_LOW) / (SCAN_POINTS - 1)
     grid = [SCAN_LOW + i * step for i in range(SCAN_POINTS)]
-    values = [difference(p) for p in grid]
+    signs = [sign(p) for p in grid]
 
     brackets = [
         (grid[i], grid[i + 1])
         for i in range(len(grid) - 1)
-        if values[i] * values[i + 1] < 0.0
+        if signs[i] * signs[i + 1] < 0
     ]
     if not brackets:
         # a grid point can sit exactly on an isolated root; identically
         # zero differences (coinciding curves) are not a crossing
-        if any(v != 0.0 for v in values):
-            for p, value in zip(grid, values):
-                if value == 0.0:
+        if any(signs):
+            for p, s in zip(grid, signs):
+                if s == 0:
                     return p
         raise BracketingError(
             f"family sizes of {rule_a} and {rule_b} never change order on "
@@ -98,16 +108,16 @@ def crossing_probability(
         )
 
     low, high = brackets[0]
-    f_low = difference(low)
+    s_low = sign(low)
     while high - low > tol:
         mid = 0.5 * (low + high)
-        f_mid = difference(mid)
-        if f_mid == 0.0:
+        s_mid = sign(mid)
+        if s_mid == 0:
             return mid
-        if (f_low < 0.0) != (f_mid < 0.0):
+        if s_low != s_mid:
             high = mid
         else:
-            low, f_low = mid, f_mid
+            low, s_low = mid, s_mid
     return 0.5 * (low + high)
 
 
@@ -146,10 +156,10 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate each quantity for each rule on a uniform p grid.
 
-    A cell that fails numerically (a value beyond float64, or an
-    average_share series that cannot converge) is marked NaN instead of
-    aborting the sweep.  Rows are ordered by grid index; columns by
-    quantity kind, then rule.
+    A cell that fails numerically (a value beyond float64) is marked NaN
+    instead of aborting the sweep; average_share lies in [0, 1] and always
+    has a value.  Rows are ordered by grid index; columns by quantity kind,
+    then rule.
     """
     parsed_rules = [as_rule(r) for r in rules]
     if not parsed_rules:

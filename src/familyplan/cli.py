@@ -4,7 +4,7 @@ Subcommands: exact, simulate, verify, share, crossing, sweep.  Every
 invocation prints one record, either human-readable key/value lines or
 (with --json) a single JSON envelope carrying identical values.  Exit
 codes: 0 success, 1 domain error (invalid rule, probability, arguments),
-2 numeric failure (term cap, overflow, no bracket, identity violation).
+2 numeric failure (overflow, no bracket, identity violation).
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     average = share.average_share(rule, prob, args.tol)
     is_two_boys = (rule.boys_required, rule.girls_required) == (2, 0)
     closed = share.shammai_average_share_closed_form(prob) if is_two_boys else None
-    if not is_two_boys:
-        warnings.warn(
-            "average_share for rules other than (2,0) is a series extension "
-            "with no closed form to cross-check",
-            UserWarning,
-            stacklevel=2,
-        )
     gap = societal - average.value
     inputs = {
         "rule": f"{rule.boys_required},{rule.girls_required}",
@@ -296,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, rule_args],
         help="societal and per-family-average girl shares and their gap",
     )
-    share_cmd.add_argument("--tol", type=float, default=DEFAULT_TOL, help="series tolerance (default 1e-10)")
+    share_cmd.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="checked but unused: no share is a truncated series (default 1e-10)",
+    )
 
     crossing = sub.add_parser(
         "crossing",
@@ -322,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--to", dest="p_to", type=float, required=True, help="grid end")
     sweep_cmd.add_argument("--steps", type=int, required=True, help="number of grid points (>= 2)")
     sweep_cmd.add_argument("--out", required=True, help="CSV output path")
-    sweep_cmd.add_argument("--tol", type=float, default=DEFAULT_TOL, help="series tolerance (default 1e-10)")
+    sweep_cmd.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="checked but unused: no quantity is a truncated series (default 1e-10)",
+    )
 
     return parser
 

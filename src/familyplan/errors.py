@@ -10,11 +10,19 @@ class NumericError(RuntimeError):
 
 
 class TermCapError(NumericError):
-    """Series truncation failed to reach the tolerance within the term cap."""
+    """Series truncation failed to reach the tolerance within the term cap.
+
+    Nothing raises it now: no value is a truncated series.  It stays
+    exported so that code catching it keeps working.
+    """
 
 
 class ExtremeProbabilityError(NumericError):
-    """Birth probability too close to 0 or 1 for series evaluation."""
+    """Birth probability too close to 0 or 1 for series evaluation.
+
+    Nothing raises it now: every value is evaluated at any p in (0, 1).  It
+    stays exported so that code catching it keeps working.
+    """
 
 
 class BirthCapError(NumericError):

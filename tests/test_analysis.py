@@ -20,6 +20,19 @@ class TestCrossingProbability:
         root = analysis.crossing_probability((1, 0), (0, 1), 1e-10)
         assert abs(root - 0.5) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "a,b", [((7, 0), (7, 1)), ((0, 7), (1, 7)), ((1, 7), (2, 7)), ((0, 7), (2, 7))]
+    )
+    def test_equal_rounded_sizes_are_not_a_root(self, a, b):
+        # F(7,1) - F(7,0) = p^7/q > 0, yet both round to 700.0 at p = 0.01;
+        # the other pairs tie likewise at 0.99
+        with pytest.raises(BracketingError):
+            analysis.crossing_probability(a, b, 1e-10)
+
+    def test_exact_tie_on_the_grid_is_a_root(self):
+        # F(2,0) = 2/p and F(0,2) = 2/q meet at 1/2, a scan point
+        assert analysis.crossing_probability((2, 0), (0, 2), 1e-10) == 0.5
+
     def test_identical_rules_have_no_bracket(self):
         with pytest.raises(BracketingError):
             analysis.crossing_probability((1, 1), (1, 1), 1e-10)
@@ -50,11 +63,12 @@ class TestSweep:
         assert rows[0].quantities["G(1,1)"] == pytest.approx(1.236068, abs=1e-5)
 
     def test_overflowing_cell_is_nan(self):
-        # a (300,0) average-share series term exceeds float64 at p=0.1; at
-        # even odds the same rule still evaluates
-        rows = analysis.sweep([(300, 0)], ["average_share"], 0.1, 0.5, 2, 1e-10)
-        assert math.isnan(rows[0].quantities["average_share(300,0)"])
-        assert 0.499 < rows[1].quantities["average_share(300,0)"] < 0.5
+        # G(1,1) = (1 - p + p^2)/p exceeds float64 at the smallest subnormal
+        # p, while B(1,1) there is about 1; at even odds both evaluate
+        rows = analysis.sweep([(1, 1)], ["G", "B"], 5e-324, 0.5, 2, 1e-10)
+        assert math.isnan(rows[0].quantities["G(1,1)"])
+        assert rows[0].quantities["B(1,1)"] == 1.0
+        assert rows[1].quantities["G(1,1)"] == 1.5
 
     def test_large_rule_cells_are_exact(self):
         rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
@@ -77,12 +91,13 @@ class TestSweep:
         assert first == second
 
     def test_failed_cells_marked_not_fatal(self):
-        # 1e-7 is a legal probability but below the series guard band;
-        # the finite-sum F needs no guard band
-        rows = analysis.sweep([(1, 1)], ["average_share", "F"], 1e-7, 0.5, 2, 1e-10)
-        assert math.isnan(rows[0].quantities["average_share(1,1)"])
-        assert rows[0].quantities["F(1,1)"] == pytest.approx(1e7, rel=1e-6)
-        assert rows[1].quantities["average_share(1,1)"] == pytest.approx(0.5, abs=1e-8)
+        # F(1,1) overflows at 5e-324; average_share lies in [0, 1] and
+        # evaluates at every legal p
+        rows = analysis.sweep([(1, 1)], ["average_share", "F"], 5e-324, 0.5, 2, 1e-10)
+        assert math.isnan(rows[0].quantities["F(1,1)"])
+        assert rows[0].quantities["average_share(1,1)"] == 1.0
+        assert rows[1].quantities["average_share(1,1)"] == 0.5
+        assert rows[1].quantities["F(1,1)"] == 3.0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -118,20 +118,25 @@ class TestShare:
         assert code == 0
         assert parse_json(out)["results"]["societal_share"] == pytest.approx(0.3, abs=1e-8)
 
-    def test_general_rule_flagged_as_extension(self, run_cli):
+    def test_general_rule_is_a_closed_form_too(self, run_cli):
         code, out, _ = run_cli(["share", "-n", "1", "-k", "1", "-p", "0.5", "--json"])
         assert code == 0
         envelope = parse_json(out)
         assert envelope["results"]["average_share_closed_form"] is None
-        assert envelope["warnings"]
-        assert envelope["results"]["average_share"]["value"] == pytest.approx(0.5, abs=1e-8)
+        assert envelope["warnings"] == []
+        assert envelope["results"]["average_share"] == {"value": 0.5, "tail_bound": 0.0, "terms_used": 2}
+
+    def test_extreme_probability_has_a_value(self, run_cli):
+        code, out, _ = run_cli(["share", "-n", "1", "-k", "1", "-p", "1e-6", "--json"])
+        assert code == 0
+        assert parse_json(out)["results"]["average_share"]["value"] == pytest.approx(1.0, abs=1e-4)
 
 
 class TestSeriesOverflow:
     @pytest.mark.parametrize(
         "args",
         [
-            ["share", "-n", "300", "-k", "0", "-p", "0.1"],
+            ["share", "-n", "1", "-k", "1", "-p", "5e-324"],
             ["exact", "-n", "1", "-k", "1", "-p", "5e-324"],
         ],
     )
@@ -155,8 +160,10 @@ class TestCrossing:
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert parse_json(out)["results"]["root"] == pytest.approx(golden, abs=1e-9)
 
-    def test_identical_rules_exit_with_numeric_failure(self, run_cli):
-        code, out, err = run_cli(["crossing", "--a", "1,1", "--b", "1,1"])
+    # F(7,1) - F(7,0) = p^7/q > 0, though both round to 700.0 at p = 0.01
+    @pytest.mark.parametrize("a,b", [("1,1", "1,1"), ("7,0", "7,1")])
+    def test_no_crossing_exits_with_numeric_failure(self, run_cli, a, b):
+        code, out, err = run_cli(["crossing", "--a", a, "--b", b])
         assert code == 2
         assert out == ""
         assert "error" in err

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from familyplan import core, series, share, symbolic
-from familyplan.errors import DomainError, ExtremeProbabilityError, NumericError, TermCapError
+from familyplan.errors import DomainError, NumericError
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,19 +54,6 @@ class TestExpectedBoys:
     def test_large_rule_needs_no_series(self):
         assert series.expected_boys((1100, 0), 0.5, 1e-10).value == 1100.0
         assert series.expected_family_size((300, 0), 0.1, 1e-10).value == 3000.0
-
-
-class TestAverageShareSeries:
-    def test_extreme_probability_fails_fast(self):
-        with pytest.raises(ExtremeProbabilityError):
-            share.average_share((1, 1), 1e-9, 1e-10)
-        with pytest.raises(ExtremeProbabilityError):
-            share.average_share((1, 1), 1.0 - 1e-9, 1e-10)
-
-    def test_term_cap_reported(self, monkeypatch):
-        monkeypatch.setattr(series, "TERM_CAP", 5)
-        with pytest.raises(TermCapError):
-            share.average_share((1, 1), 0.5, 1e-12)
 
 
 class TestExpectedGirls:

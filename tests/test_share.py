@@ -1,10 +1,13 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from familyplan import core, share
-from familyplan.errors import DomainError
+from familyplan import core, series, share
+from familyplan.errors import DomainError, NumericError
 
 TWO_LN_TWO_MINUS_ONE = 2.0 * math.log(2.0) - 1.0
 P_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -43,12 +46,30 @@ def exact_average_share(n, k, p):
     return Fraction(total, 1 << FIXED_POINT), Fraction(total + slack, 1 << FIXED_POINT)
 
 
-def assert_bound_covers_exact_sum(rule, p, tols):
+def decimal_share(rule, p):
+    """E[girls/T] of a rule with a known closed form, in 100-digit decimals.
+
+    (1,1): p + r ln p - ln(1-p)/r, from E[1/(1+G)] for geometric G; the
+    others are the (1,0), (0,1) and the paper's (2,0) forms; r = p/(1-p).
+    """
+    with localcontext() as context:
+        context.prec = 100
+        p = Decimal(p)
+        r = p / (1 - p)
+        ln_p, ln_q = p.ln(), (1 - p).ln()
+        forms = {
+            (1, 0): lambda: 1 + r * ln_p,
+            (0, 1): lambda: -ln_q / r,
+            (2, 0): lambda: 1 - 2 * r * (1 + r * ln_p),
+            (1, 1): lambda: p + r * ln_p - ln_q / r,
+        }
+        return float(forms[rule]())
+
+
+def correctly_rounded(rule, p):
     lo, hi = exact_average_share(*rule, p)
-    for tol in tols:
-        result = share.average_share(rule, p, tol)
-        value = Fraction(result.value)
-        assert max(abs(value - lo), abs(value - hi)) <= Fraction(result.tail_bound)
+    assert float(lo) == float(hi), "the enclosure straddles a rounding boundary"
+    return float(lo)
 
 
 class TestSocietalShare:
@@ -68,7 +89,7 @@ class TestAverageShare:
     def test_two_boys_rule_at_even_odds(self):
         result = share.average_share((2, 0), 0.5, 1e-12)
         assert result.value == pytest.approx(TWO_LN_TWO_MINUS_ONE, abs=1e-10)
-        assert result.tail_bound <= 1e-12
+        assert result.tail_bound == 0.0
 
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.6, 0.8])
     def test_single_boy_rule_matches_brute_force(self, p):
@@ -117,33 +138,50 @@ class TestClosedForm:
         closed = share.shammai_average_share_closed_form(p)
         assert result.value == pytest.approx(closed, abs=1e-8)
 
-    @pytest.mark.parametrize("p", P_GRID)
-    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
-    @pytest.mark.parametrize(
-        "rule,exact",
-        [
-            ((2, 0), share.shammai_average_share_closed_form),
-            # E[(T-1)/T] for geometric T; its weight increases with T
-            ((1, 0), lambda p: 1.0 + p * math.log(p) / (1.0 - p)),
-            ((0, 1), lambda p: -(1.0 - p) * math.log(1.0 - p) / p),
-        ],
-    )
-    def test_tail_bound_covers_closed_form_error(self, p, tol, rule, exact):
-        result = share.average_share(rule, p, tol)
-        assert result.tail_bound <= tol
-        assert abs(result.value - exact(p)) <= result.tail_bound + 1e-14
+    @pytest.mark.parametrize("p", [p for p in P_GRID if p <= 0.5])
+    def test_two_boys_rule_within_four_ulps_of_the_paper(self, p):
+        # for p > 1/2 the float formula itself cancels in 1 + r ln p
+        value = share.average_share((2, 0), p, 1e-10).value
+        closed = share.shammai_average_share_closed_form(p)
+        assert abs(value - closed) <= 4 * math.ulp(value)
+
+    @pytest.mark.parametrize("p", P_GRID + [1e-4, 1e-6, 1e-9, 1.0 - 1e-9, 0.03, 1 / 3])
+    @pytest.mark.parametrize("rule", [(1, 0), (0, 1), (2, 0), (1, 1)])
+    def test_correctly_rounded_closed_forms(self, p, rule):
+        result = share.average_share(rule, p, 1e-10)
+        assert result.value == decimal_share(rule, p)
+        assert (result.tail_bound, result.terms_used) == (0.0, sum(rule))
 
     @pytest.mark.parametrize("rule", [(n, k) for n in range(7) for k in range(7) if n + k])
-    def test_bound_covers_rounding_on_the_dyadic_grid(self, rule):
-        # p = j/16 and 1 - p are exact; the truncation bound alone falls
-        # short by up to 2e-17 here, e.g. (1,0) at p=1/16 and tol 1e-12
+    def test_correctly_rounded_on_the_dyadic_grid(self, rule):
+        # p = j/16 and 1 - p are exact, and so is the enclosure's sum
         for j in range(1, 16):
-            assert_bound_covers_exact_sum(rule, j / 16, (1e-10, 1e-12, 1e-13))
+            assert share.average_share(rule, j / 16, 1e-10).value == correctly_rounded(rule, j / 16)
 
     @pytest.mark.parametrize("rule", [(2, 0), (3, 2), (6, 3), (2, 5), (6, 6)])
-    def test_bound_covers_an_inexact_one_minus_p(self, rule):
-        # 1 - 0.03 is rounded, and that error grows with the girls in a term
-        assert_bound_covers_exact_sum(rule, 0.03, (1e-13, 1e-15))
+    def test_correctly_rounded_at_an_inexact_one_minus_p(self, rule):
+        assert share.average_share(rule, 0.03, 1e-10).value == correctly_rounded(rule, 0.03)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 8), st.floats(1e-3, 0.999), st.integers(0, 60))
+    def test_truncated_partial_sums_approach_from_below(self, n, k, p, extra):
+        # families beyond the horizon add at most their mass, as girls/T <= 1;
+        # 1e-14 covers the rounding of the float partial sums
+        if n + k == 0:
+            n = 1
+        truncated = series.truncated_moments((n, k), p, n + k + extra)
+        gap = share.average_share((n, k), p, 1e-10).value - truncated.girl_share
+        assert -1e-14 <= gap <= 1.0 - truncated.mass_covered + 1e-14
+
+    def test_extreme_probabilities_have_values(self):
+        for rule in [(n, k) for n in range(4) for k in range(4) if n + k]:
+            for p in (1e-9, 1.0 - 1e-9, 5e-324):
+                assert 0.0 <= share.average_share(rule, p, 1e-10).value <= 1.0
+
+    def test_unsettled_rounding_is_a_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(share, "_ZIV_ROUNDS", 0)
+        with pytest.raises(NumericError):
+            share.average_share((1, 1), 0.3, 1e-10)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_average_share_strictly_below_societal_share(self, p):
