@@ -160,10 +160,15 @@ class TestCrossing:
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert parse_json(out)["results"]["root"] == pytest.approx(golden, abs=1e-9)
 
-    # F(7,1) - F(7,0) = p^7/q > 0, though both round to 700.0 at p = 0.01
-    @pytest.mark.parametrize("a,b", [("1,1", "1,1"), ("7,0", "7,1")])
-    def test_no_crossing_exits_with_numeric_failure(self, run_cli, a, b):
-        code, out, err = run_cli(["crossing", "--a", a, "--b", b])
+    def test_identical_rules_exit_with_numeric_failure(self, run_cli):
+        code, out, err = run_cli(["crossing", "--a", "1,1", "--b", "1,1"])
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_equal_rounded_sizes_exit_with_numeric_failure(self, run_cli):
+        # F(7,1) - F(7,0) = p^7/q > 0, though both round to 700.0 at p = 0.01
+        code, out, err = run_cli(["crossing", "--a", "7,0", "--b", "7,1"])
         assert code == 2
         assert out == ""
         assert "error" in err
