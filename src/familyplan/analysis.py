@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import share as share_mod
-from .core import BirthProbability, Rule, _check_int, as_probability, as_rule
+from .core import BirthProbability, Rule, _check_int, _require_stoppable, as_probability, as_rule
 from .errors import BracketingError, DomainError, NumericError
 from .series import (
     _check_tolerance,
@@ -55,25 +55,17 @@ def crossing_probability(
 
     Scans SCAN_POINTS points on [SCAN_LOW, SCAN_HIGH] for a sign change of
     F_a - F_b, then bisects the leftmost bracket until it is narrower than
-    tol.  Each sign is exact: the family sizes are correctly rounded, so a
-    nonzero float difference has the sign of the exact one, and a zero
-    float difference is settled on the exact Wald fractions.  A grid point
-    is a root only where the exact difference is 0.  Raises
-    BracketingError when the curves never cross; warns via
-    MultipleCrossingsWarning when more than one bracket exists.
+    tol.  Each sign is exact, from cross-multiplying the two exact Wald
+    fractions of F, so a grid point is a root only where the exact
+    difference is 0.  Raises BracketingError when the curves never cross;
+    warns via MultipleCrossingsWarning when more than one bracket exists.
     """
-    rule_a = as_rule(rule_a)
-    rule_b = as_rule(rule_b)
+    rule_a = _require_stoppable(as_rule(rule_a))
+    rule_b = _require_stoppable(as_rule(rule_b))
     tol = _check_tolerance(tol)
 
     def sign(p: float) -> int:
         prob = BirthProbability(p)
-        difference = (
-            expected_family_size(rule_a, prob, tol).value
-            - expected_family_size(rule_b, prob, tol).value
-        )
-        if difference:
-            return 1 if difference > 0.0 else -1
         (num_a, den_a), (num_b, den_b) = (
             _wald_fraction(rule, prob, "family_size") for rule in (rule_a, rule_b)
         )

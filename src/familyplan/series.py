@@ -59,11 +59,16 @@ def _horner(m: int, count: int, x: int, e: int) -> int:
     return total
 
 
+def _dyadic(prob: BirthProbability) -> tuple[int, int, int]:
+    """(a, e, c) with the float p = a/2^e exactly and q = 1 - p = c/2^e."""
+    a, power = prob.p.as_integer_ratio()
+    return a, power.bit_length() - 1, power - a
+
+
 def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[int, int]:
     """Exact (numerator, denominator > 0) of E[T] times p ("boys"), q ("girls") or 1 ("family_size")."""
     n, k = rule.boys_required, rule.girls_required
-    a, power = prob.p.as_integer_ratio()
-    e, c = power.bit_length() - 1, power - a
+    a, e, c = _dyadic(prob)
     # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)))
     mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
     numerator = ((n * c + k * a) << e * (n + k)) - a * c * mins

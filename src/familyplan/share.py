@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import BirthProbability, Rule, _require_stoppable, as_probability, as_rule
 from .errors import NumericError
-from .series import SeriesResult, _check_tolerance, expected_family_size, expected_girls
+from .series import SeriesResult, _check_tolerance, _dyadic
 
 # Bits beyond the cancellation of the logarithm terms and the bits of e: one
 # round settles nearly every value; each further round of Ziv's doubles them.
@@ -42,10 +41,11 @@ def societal_share(
     p: BirthProbability | float,
     tol: float,
 ) -> float:
-    """E[girls] / E[T]; equals 1-p for the (2,0) rule."""
-    girls = expected_girls(rule, p, tol)
-    size = expected_family_size(rule, p, tol)
-    return girls.value / size.value
+    """E[girls] / E[T] = 1-p for every rule, as E[G] = q E[T] (Wald); tol is
+    checked but unused."""
+    _require_stoppable(as_rule(rule))
+    _check_tolerance(tol)
+    return as_probability(p).q
 
 
 def _atanh(num: int, den: int, bits: int) -> tuple[int, int]:
@@ -63,19 +63,13 @@ def _atanh(num: int, den: int, bits: int) -> tuple[int, int]:
     return (total if num >= 0 else -total), 2 * odd
 
 
-@lru_cache(maxsize=64)
-def _ln2(bits: int) -> tuple[int, int]:
-    """2^bits * ln 2 = 2^(bits+1) * atanh(1/3), and a bound on its error."""
-    return _atanh(1, 3, bits + 1)
-
-
-def _ln(x: int, e: int, bits: int) -> tuple[int, int]:
-    """2^bits * ln(x/2^e) for an integer x >= 1, and a bound on its error; with
-    x/2^t in [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2."""
+def _ln(x: int, e: int, bits: int, ln_2: tuple[int, int]) -> tuple[int, int]:
+    """2^bits * ln(x/2^e) for an integer x >= 1, and a bound on its error,
+    given ln_2 = 2^bits * ln 2 and its error bound; with x/2^t in
+    [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2."""
     t = x.bit_length() - (2 * x * x < 1 << 2 * x.bit_length())
     value, error = _atanh(x - (1 << t), x + (1 << t), bits + 1)
-    ln_2, error_2 = _ln2(bits)
-    return value + (t - e) * ln_2, error + abs(t - e) * error_2
+    return value + (t - e) * ln_2[0], error + abs(t - e) * ln_2[1]
 
 
 def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int, int]:
@@ -120,8 +114,7 @@ def average_share(
     prob = as_probability(p)
     _check_tolerance(tol)
     n, k = rule.boys_required, rule.girls_required
-    a, power = prob.p.as_integer_ratio()
-    e, c, size = power.bit_length() - 1, power - a, n + k
+    (a, e, c), size = _dyadic(prob), n + k
     lcm = math.lcm(*range(1, size + 1))
     mass_b, rational_b, log_b = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
     rational_g, log_g = _branch(k, c, a, e, size, lcm)[1:] if k else (0, 0)
@@ -131,7 +124,8 @@ def average_share(
     cancelled = max(abs(u), abs(v)).bit_length() - denominator.bit_length()
     bits = _GUARD_BITS + max(cancelled, 0) + e.bit_length()
     for _ in range(_ZIV_ROUNDS):
-        (ln_p, error_p), (ln_q, error_q) = _ln(a, e, bits), _ln(c, e, bits)
+        ln_2 = _atanh(1, 3, bits + 1)  # ln 2 = 2 atanh(1/3)
+        (ln_p, error_p), (ln_q, error_q) = _ln(a, e, bits, ln_2), _ln(c, e, bits, ln_2)
         total = (rational << bits) + u * ln_p + v * ln_q
         error = abs(u) * error_p + abs(v) * error_q
         low = (total - error) / (denominator << bits)  # int / int rounds correctly

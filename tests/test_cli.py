@@ -133,19 +133,20 @@ class TestShare:
 
 
 class TestSeriesOverflow:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["share", "-n", "1", "-k", "1", "-p", "5e-324"],
-            ["exact", "-n", "1", "-k", "1", "-p", "5e-324"],
-        ],
-    )
-    def test_term_overflow_exits_with_numeric_failure(self, run_cli, args):
-        code, out, err = run_cli(args)
+    def test_term_overflow_exits_with_numeric_failure(self, run_cli):
+        code, out, err = run_cli(["exact", "-n", "1", "-k", "1", "-p", "5e-324"])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
         assert "overflows float64" in err
+
+    def test_shares_do_not_overflow(self, run_cli):
+        # E[G] overflows at the smallest p, but E[G]/E[T] = 1 - p does not
+        code, out, _ = run_cli(["share", "-n", "1", "-k", "1", "-p", "5e-324", "--json"])
+        assert code == 0
+        results = parse_json(out)["results"]
+        assert results["societal_share"] == 1.0
+        assert results["average_share"]["value"] == 1.0
 
     def test_large_rule_is_exact(self, run_cli):
         code, out, _ = run_cli(["exact", "-n", "1100", "-k", "0", "-p", "0.5"])

@@ -84,6 +84,13 @@ class TestSocietalShare:
         with pytest.raises(DomainError):
             share.societal_share((0, 0), 0.5, 1e-10)
 
+    @pytest.mark.parametrize("rule", [(1, 1), (2, 0), (0, 3), (4, 2)])
+    @pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.77, 5e-324, 1.0 - 2.0**-53])
+    def test_correctly_rounded_ratio_of_exact_girls_to_size(self, rule, p):
+        prob, rule = core.as_probability(p), core.as_rule(rule)
+        girls, size = (Fraction(*series._wald_fraction(rule, prob, q)) for q in ("girls", "family_size"))
+        assert share.societal_share(rule, p, 1e-10) == float(girls / size)
+
 
 class TestAverageShare:
     def test_two_boys_rule_at_even_odds(self):
