@@ -3,11 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
 import familyplan
-from familyplan import cli
+from familyplan import analysis, cli
+
+# One entry per invocation: argv, exit code, and the exact stdout and stderr.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def parse_json(stdout):
@@ -216,6 +221,34 @@ class TestSweep:
         results = parse_json(out)["results"]
         assert results["rows"] == 5
         assert results["columns"] == ["G(1,1)", "G(2,0)", "ratio(1,1)", "ratio(2,0)"]
+
+
+class TestGolden:
+    """Every subcommand, plain and --json, successes and errors, byte for byte."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+    def test_output_is_pinned(self, case, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # sweep writes its CSV to a relative path
+        assert run_cli(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+class TestWarnings:
+    def test_library_warnings_are_reported(self, run_cli, monkeypatch):
+        # no real rule pair with n,k <= 7 has more than one crossing
+        message = "2 sign changes found; returning the leftmost root"
+
+        def warning_crossing(rule_a, rule_b, tol):
+            warnings.warn(message, analysis.MultipleCrossingsWarning)
+            return 0.5
+
+        monkeypatch.setattr(analysis, "crossing_probability", warning_crossing)
+        args = ["crossing", "--a", "1,1", "--b", "2,0"]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        assert out.endswith(f"root: 0.5\nwarning: {message}\n")
+        code, out, _ = run_cli(args + ["--json"])
+        assert code == 0
+        assert parse_json(out)["warnings"] == [message]
 
 
 class TestParserBehaviour:
