@@ -138,8 +138,7 @@ def _require_stoppable(rule: Rule) -> Rule:
 
 def pmf_support_min(rule: Rule | tuple[int, int]) -> int:
     """Smallest family size the rule can produce."""
-    rule = _require_stoppable(as_rule(rule))
-    return max(rule.total_required, 1)
+    return _require_stoppable(as_rule(rule)).total_required
 
 
 def stopping_pmf_components(
@@ -265,7 +264,7 @@ def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool
     return tuple(leaves)
 
 
-def _check_enumeration_args(rule: Rule, max_children: int, cap: int) -> None:
+def _check_enumeration_args(max_children: int, cap: int) -> None:
     _check_int("max_children", max_children, 1)
     if max_children > cap:
         raise DomainError(
@@ -281,7 +280,7 @@ def enumerate_stopped_outcomes(
 ) -> Iterator[StoppingOutcome]:
     """Yield every completed family with T <= max_children, one per sequence."""
     rule = _require_stoppable(as_rule(rule))
-    _check_enumeration_args(rule, max_children, cap)
+    _check_enumeration_args(max_children, cap)
     for boys, girls, last_is_boy in _stopped_sequences(
         rule.boys_required, rule.girls_required, max_children
     ):
@@ -302,7 +301,7 @@ def enumerate_brute_force(
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    _check_enumeration_args(rule, max_children, cap)
+    _check_enumeration_args(max_children, cap)
 
     pp, q = prob.p, prob.q
     return _outcome_moments(

@@ -170,12 +170,11 @@ def _sample_blocks(
     samples: int,
     seed: int,
     birth_cap: int,
-    block_size: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per-family (boys, girls) arrays, one pair per block of family indices.
 
     Batched evaluation of the same per-family streams as FamilyStream;
-    block_size only controls working memory, never the results.
+    _BLOCK_SIZE only controls working memory, never the results.
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
@@ -183,8 +182,8 @@ def _sample_blocks(
     seed = _check_seed(seed)
 
     n, k = rule.boys_required, rule.girls_required
-    for start in range(0, samples, block_size):
-        count = min(block_size, samples - start)
+    for start in range(0, samples, _BLOCK_SIZE):
+        count = min(_BLOCK_SIZE, samples - start)
         index = np.arange(start, start + count, dtype=np.uint64)
         key = _mix64_array(np.uint64(seed) + (index + np.uint64(1)) * np.uint64(_GAMMA))
         boys = np.zeros(count, dtype=np.int64)
@@ -213,13 +212,9 @@ def sample_outcomes(
     samples: int,
     seed: int,
     birth_cap: int = DEFAULT_BIRTH_CAP,
-    block_size: int = _BLOCK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-family (boys, girls, total) arrays for family indices 0..samples-1.
-
-    block_size only controls working memory, never the results.
-    """
-    blocks = _sample_blocks(rule, p, samples, seed, birth_cap, block_size)
+    """Per-family (boys, girls, total) arrays for family indices 0..samples-1."""
+    blocks = _sample_blocks(rule, p, samples, seed, birth_cap)
     boys, girls = map(np.concatenate, zip(*blocks))
     return boys, girls, boys + girls
 
@@ -243,7 +238,7 @@ def run_simulation(
     # A stopped family has exactly n boys or exactly k girls, so its excess
     # (boys - n) - (girls - k) identifies its outcome.
     table: Counter[int] = Counter()
-    for boys, girls in _sample_blocks(rule, prob, samples, seed, birth_cap, _BLOCK_SIZE):
+    for boys, girls in _sample_blocks(rule, prob, samples, seed, birth_cap):
         excess = (boys - n) - (girls - k)
         low = int(excess.min())
         counts = np.bincount(excess - low)

@@ -375,14 +375,14 @@ def mirror(f: RationalFunction) -> RationalFunction:
     return RationalFunction._reduced(f.numerator.compose(ONE_MINUS_P), b, a)
 
 
-def _check_rule_caps(n: int, k: int, cap: int) -> None:
+def _check_rule_caps(n: int, k: int) -> None:
     for name, value in (("n", n), ("k", k)):
         _check_int(name, value, 0)
     if n + k < 1:
         raise DomainError("the (0,0) rule has no expected-boys function")
-    if n > cap or k > cap:
+    if n > EXACT_RULE_CAP or k > EXACT_RULE_CAP:
         raise DomainError(
-            f"rule ({n},{k}) exceeds the exact-arithmetic cap of {cap} per count"
+            f"rule ({n},{k}) exceeds the exact-arithmetic cap of {EXACT_RULE_CAP} per count"
         )
 
 
@@ -401,15 +401,15 @@ def _expected_boys_exact_cached(n: int, k: int) -> RationalFunction:
     return result
 
 
-def expected_boys_exact(n: int, k: int, cap: int = EXACT_RULE_CAP) -> RationalFunction:
+def expected_boys_exact(n: int, k: int) -> RationalFunction:
     """B(n,k,p) as an exact rational function on (0,1)."""
-    _check_rule_caps(n, k, cap)
+    _check_rule_caps(n, k)
     return _expected_boys_exact_cached(n, k)
 
 
-def expected_girls_exact(n: int, k: int, cap: int = EXACT_RULE_CAP) -> RationalFunction:
+def expected_girls_exact(n: int, k: int) -> RationalFunction:
     """G(n,k,p) = B(k,n,1-p), exactly."""
-    _check_rule_caps(n, k, cap)
+    _check_rule_caps(n, k)
     return mirror(_expected_boys_exact_cached(k, n))
 
 
@@ -424,15 +424,15 @@ class RatioCertificate:
     rhs: RationalFunction
 
 
-def verify_ratio_identity(n: int, k: int, cap: int = EXACT_RULE_CAP) -> RatioCertificate:
+def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     """Certify (1-p) B(n,k,p) = p B(k,n,1-p) as an exact polynomial identity.
 
     Because both sides are canonical, holds=True is a proof that the rule's
     gender ratio equals the birth odds everywhere on (0,1).
     """
-    _check_rule_caps(n, k, cap)
-    lhs = expected_boys_exact(n, k, cap) * RationalFunction(ONE_MINUS_P)
-    rhs = mirror(expected_boys_exact(k, n, cap)) * RationalFunction(P_VAR)
+    _check_rule_caps(n, k)
+    lhs = expected_boys_exact(n, k) * RationalFunction(ONE_MINUS_P)
+    rhs = mirror(expected_boys_exact(k, n)) * RationalFunction(P_VAR)
     return RatioCertificate(
         boys_required=n,
         girls_required=k,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import familyplan
-from familyplan import analysis, cli
+from familyplan import analysis, cli, symbolic
 
 # One entry per invocation: argv, exit code, and the exact stdout and stderr.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -99,6 +100,23 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--max-n", "1", "--max-k", "1"])
         assert code == 0
         assert "(1,1) PASS  B = (1 - p + p^2)/(1 - p)" in out
+
+    def test_failed_certificate_exits_two(self, run_cli, monkeypatch):
+        # no real rule fails, so one certificate is forced to
+        real = symbolic.verify_ratio_identity
+
+        def failing(n, k):
+            return dataclasses.replace(real(n, k), holds=(n, k) != (1, 0))
+
+        monkeypatch.setattr(symbolic, "verify_ratio_identity", failing)
+        code, out, _ = run_cli(["verify", "--max-n", "1", "--max-k", "0"])
+        assert code == 2
+        assert out.endswith("(1,0) FAIL  B = (1)/(1)\nall_hold: False\n")
+        code, out, _ = run_cli(["verify", "--max-n", "1", "--max-k", "0", "--json"])
+        assert code == 2
+        results = parse_json(out)["results"]
+        assert results["all_hold"] is False
+        assert [cert["holds"] for cert in results["certificates"]] == [False]
 
     def test_cap_exceeded_names_the_cap(self, run_cli):
         code, _, err = run_cli(["verify", "--max-n", "13", "--max-k", "0"])

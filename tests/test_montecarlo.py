@@ -96,9 +96,11 @@ class TestSubstreams:
             assert outcome.girls == girls[index]
             assert outcome.total == totals[index]
 
-    def test_block_size_never_changes_results(self):
-        a = mc.sample_outcomes((1, 1), 0.5, 1000, 3, block_size=64)
-        b = mc.sample_outcomes((1, 1), 0.5, 1000, 3, block_size=1 << 16)
+    def test_block_size_never_changes_results(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 64)
+        a = mc.sample_outcomes((1, 1), 0.5, 1000, 3)
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 1 << 16)
+        b = mc.sample_outcomes((1, 1), 0.5, 1000, 3)
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
 
