@@ -27,7 +27,7 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
 
 # (inputs echoed back, results)
-Record = tuple[dict[str, Any], dict[str, Any]]
+_Record = tuple[dict[str, Any], dict[str, Any]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +60,7 @@ def _rule_and_probability(args: argparse.Namespace) -> tuple[Rule, BirthProbabil
     return rule, prob, {"rule": f"{args.boys},{args.girls}", "p": prob.p}
 
 
-def _cmd_exact(args: argparse.Namespace) -> Record:
+def _cmd_exact(args: argparse.Namespace) -> _Record:
     rule, prob, inputs = _rule_and_probability(args)
     boys = series.expected_boys(rule, prob, args.tol)
     girls = series.expected_girls(rule, prob, args.tol)
@@ -75,13 +75,13 @@ def _cmd_exact(args: argparse.Namespace) -> Record:
     return {**inputs, "tol": args.tol}, results
 
 
-def _cmd_simulate(args: argparse.Namespace) -> Record:
+def _cmd_simulate(args: argparse.Namespace) -> _Record:
     rule, prob, inputs = _rule_and_probability(args)
     summary = montecarlo.run_simulation(rule, prob, args.samples, args.seed)
     return {**inputs, "samples": args.samples, "seed": args.seed}, summary.to_dict()
 
 
-def _cmd_verify(args: argparse.Namespace) -> Record:
+def _cmd_verify(args: argparse.Namespace) -> _Record:
     if args.max_n < 0 or args.max_k < 0:
         raise DomainError("--max-n and --max-k must be >= 0")
     certificates = []
@@ -104,7 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
     return {"max_n": args.max_n, "max_k": args.max_k}, results
 
 
-def _cmd_share(args: argparse.Namespace) -> Record:
+def _cmd_share(args: argparse.Namespace) -> _Record:
     rule, prob, inputs = _rule_and_probability(args)
     societal = share.societal_share(rule, prob, args.tol)
     average = share.average_share(rule, prob, args.tol)
@@ -119,12 +119,12 @@ def _cmd_share(args: argparse.Namespace) -> Record:
     return {**inputs, "tol": args.tol}, results
 
 
-def _cmd_crossing(args: argparse.Namespace) -> Record:
+def _cmd_crossing(args: argparse.Namespace) -> _Record:
     root = analysis.crossing_probability(_parse_rule(args.a), _parse_rule(args.b), args.tol)
     return {"a": args.a, "b": args.b, "tol": args.tol}, {"root": root}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> Record:
+def _cmd_sweep(args: argparse.Namespace) -> _Record:
     rules = _split(args.rules, "at least one rule is required (e.g. --rules '1,1;2,0')")
     rules = [_parse_rule(rule) for rule in rules]
     quantities = _split(
@@ -146,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Record:
     return inputs, {"out": args.out, "rows": len(rows), "columns": list(rows[0].quantities)}
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], Record]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], _Record]] = {
     "exact": _cmd_exact,
     "simulate": _cmd_simulate,
     "verify": _cmd_verify,

@@ -102,13 +102,11 @@ class TestVerify:
         assert "(1,1) PASS  B = (1 - p + p^2)/(1 - p)" in out
 
     def test_failed_certificate_exits_two(self, run_cli, monkeypatch):
-        # no real rule fails, so one certificate is forced to
+        # no real rule fails, so the certificate is forced to
         real = symbolic.verify_ratio_identity
-
-        def failing(n, k):
-            return dataclasses.replace(real(n, k), holds=(n, k) != (1, 0))
-
-        monkeypatch.setattr(symbolic, "verify_ratio_identity", failing)
+        monkeypatch.setattr(
+            symbolic, "verify_ratio_identity", lambda n, k: dataclasses.replace(real(n, k), holds=False)
+        )
         code, out, _ = run_cli(["verify", "--max-n", "1", "--max-k", "0"])
         assert code == 2
         assert out.endswith("(1,0) FAIL  B = (1)/(1)\nall_hold: False\n")
