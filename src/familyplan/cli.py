@@ -125,8 +125,10 @@ def _cmd_crossing(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> _Record:
-    rules = _split(args.rules, "at least one rule is required (e.g. --rules '1,1;2,0')")
-    rules = [_parse_rule(rule) for rule in rules]
+    rules = [
+        _parse_rule(rule)
+        for rule in _split(args.rules, "at least one rule is required (e.g. --rules '1,1;2,0')")
+    ]
     quantities = _split(
         args.quantities, f"at least one quantity is required, one of {analysis.SWEEP_QUANTITIES}"
     )
