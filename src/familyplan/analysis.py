@@ -55,10 +55,11 @@ def crossing_probability(
 
     Scans SCAN_POINTS points on [SCAN_LOW, SCAN_HIGH] for a sign change of
     F_a - F_b, then bisects the leftmost bracket until it is narrower than
-    tol.  Each sign is exact, from cross-multiplying the two exact Wald
-    fractions of F, so a grid point is a root only where the exact
-    difference is 0.  Raises BracketingError when the curves never cross;
-    warns via MultipleCrossingsWarning when more than one bracket exists.
+    tol or its ends are adjacent floats.  Each sign is exact, from
+    cross-multiplying the two exact Wald fractions of F, so a grid point
+    is a root only where the exact difference is 0.  Raises
+    BracketingError when the curves never cross; warns via
+    MultipleCrossingsWarning when more than one bracket exists.
     """
     rule_a = _require_stoppable(as_rule(rule_a))
     rule_b = _require_stoppable(as_rule(rule_b))
@@ -103,6 +104,9 @@ def crossing_probability(
     s_low = sign(low)
     while high - low > tol:
         mid = 0.5 * (low + high)
+        if mid in (low, high):
+            # no float lies between low and high: tol is below their spacing
+            break
         s_mid = sign(mid)
         if s_mid == 0:
             return mid

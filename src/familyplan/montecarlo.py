@@ -15,7 +15,8 @@ u(i, j) < p.
 
 The scalar path (``FamilyStream`` + ``simulate_family``) and the batched
 numpy path (``sample_outcomes`` and ``run_simulation``) evaluate the same
-function and agree bit for bit.
+function and agree bit for bit.  numpy is imported on the first batched
+call, not with the package, so the other methods start without it.
 
 ``run_simulation`` keeps no per-family arrays: each block of families is
 reduced to a count per distinct (boys, girls) outcome, blocks merge by
@@ -29,9 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from math import fsum, sqrt
-from typing import Iterator, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .core import (
     BirthProbability,
@@ -44,6 +43,9 @@ from .core import (
     as_rule,
 )
 from .errors import BirthCapError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Per-family birth limit; hitting it means p is numerically degenerate.
 DEFAULT_BIRTH_CAP = 10_000_000
@@ -67,6 +69,8 @@ def _mix64(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     x = x.copy()
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
@@ -176,6 +180,8 @@ def _sample_blocks(
     Batched evaluation of the same per-family streams as FamilyStream;
     _BLOCK_SIZE only controls working memory, never the results.
     """
+    import numpy as np
+
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
     _check_int("samples", samples, 1)
@@ -214,6 +220,8 @@ def sample_outcomes(
     birth_cap: int = DEFAULT_BIRTH_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-family (boys, girls, total) arrays for family indices 0..samples-1."""
+    import numpy as np
+
     blocks = _sample_blocks(rule, p, samples, seed, birth_cap)
     boys, girls = map(np.concatenate, zip(*blocks))
     return boys, girls, boys + girls
@@ -232,6 +240,8 @@ def run_simulation(
     summaries, independent of chunking, from per-outcome counts whose
     memory does not grow with samples.
     """
+    import numpy as np
+
     rule = as_rule(rule)
     prob = as_probability(p)
     n, k = rule.boys_required, rule.girls_required

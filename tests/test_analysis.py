@@ -37,6 +37,11 @@ class TestCrossingProbability:
         with pytest.raises(BracketingError):
             analysis.crossing_probability((1, 1), (1, 1), 1e-10)
 
+    def test_tolerance_below_float_spacing_ends(self):
+        # the bracket narrows to adjacent floats, never to 1e-300
+        root = analysis.crossing_probability((1, 1), (2, 0), 1e-300)
+        assert abs(root - 0.6180339887498949) <= math.ulp(0.6180339887498949)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             analysis.crossing_probability((1, 1), (2, 0), -1e-10)

@@ -16,6 +16,12 @@ from familyplan import analysis, cli, symbolic
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
+def _package_env():
+    """Environment for a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(familyplan.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def parse_json(stdout):
     envelope = json.loads(stdout)
     assert set(envelope) == {"command", "inputs", "results", "warnings"}
@@ -195,6 +201,11 @@ class TestCrossing:
         assert out == ""
         assert "error" in err
 
+    def test_tolerance_below_float_spacing_exits_zero(self, run_cli):
+        code, out, _ = run_cli(["crossing", "--a", "1,1", "--b", "2,0", "--tol", "1e-300"])
+        assert code == 0
+        assert "root: 0.6180339887498949" in out
+
     def test_malformed_rule_is_a_domain_error(self, run_cli):
         code, _, err = run_cli(["crossing", "--a", "1;1", "--b", "2,0"])
         assert code == 1
@@ -291,15 +302,13 @@ class TestClosedOutput:
         # write to stdout fails with a broken pipe, every time.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = os.path.dirname(os.path.dirname(familyplan.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = ["exact", "-n", "1", "-k", "1", "-p", "0.5", "--json"]
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "familyplan.cli", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=_package_env(),
                 timeout=120,
             )
         finally:
@@ -308,3 +317,41 @@ class TestClosedOutput:
         assert proc.returncode == 1
         assert "Traceback" not in stderr
         assert "BrokenPipeError" not in stderr
+
+
+# Runs in a fresh interpreter, since the test process has imported numpy
+# already.  The last stdout line reports the exit codes and numpy's presence.
+_LAZY_NUMPY_SCRIPT = """
+import json, sys
+import familyplan
+from familyplan.cli import main
+
+codes = [
+    main(["exact", "-n", "1", "-k", "1", "-p", "0.5"]),
+    main(["share", "-n", "2", "-k", "0", "-p", "0.5"]),
+    main(["verify", "--max-n", "2", "--max-k", "2"]),
+    main(["crossing", "--a", "1,1", "--b", "2,0"]),
+    main(["sweep", "--rules", "1,1", "--quantities", "F", "--from", "0.2",
+          "--to", "0.8", "--steps", "3", "--out", sys.argv[1]]),
+]
+numpy_before = "numpy" in sys.modules
+simulate = main(["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "100"])
+print(json.dumps([codes, numpy_before, simulate, "numpy" in sys.modules]))
+"""
+
+
+class TestLazyNumpy:
+    def test_only_simulate_imports_numpy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_NUMPY_SCRIPT, str(tmp_path / "sweep.csv")],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, numpy_before, simulate, numpy_after = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * 5
+        assert not numpy_before
+        assert simulate == 0
+        assert numpy_after
