@@ -3,8 +3,8 @@
 Subcommands: exact, simulate, verify, share, crossing, sweep.  Each one
 computes a single record, its echoed inputs and its results.  With --json
 the record is printed as one JSON envelope (command, inputs, results,
-warnings); otherwise the same values are rendered from it as key/value
-lines.  Exit codes: 0 success, 1 domain error (invalid rule, probability,
+warnings), with null for a non-finite float; otherwise the same values
+are rendered from it as key/value lines.  Exit codes: 0 success, 1 domain error (invalid rule, probability,
 arguments), 2 numeric failure (overflow, no bracket, identity violation).
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -158,6 +159,17 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], _Record]] = {
 }
 
 
+def _strict_json(value: Any) -> Any:
+    """value with each non-finite float replaced by None, which RFC 8259 JSON allows."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def _human_lines(envelope: dict[str, Any]) -> Iterator[str]:
     """The envelope as key/value lines; a result echoed among the inputs is not repeated."""
     inputs, results = envelope["inputs"], envelope["results"]
@@ -267,7 +279,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "warnings": [str(w.message) for w in caught],
     }
     try:
-        print(json.dumps(envelope, indent=2) if args.json else "\n".join(_human_lines(envelope)))
+        if args.json:
+            print(json.dumps(_strict_json(envelope), indent=2))
+        else:
+            print("\n".join(_human_lines(envelope)))
         sys.stdout.flush()
     except OSError as err:
         # Point stdout at devnull so the flush at interpreter exit cannot

@@ -258,6 +258,18 @@ class TestGolden:
         monkeypatch.chdir(tmp_path)  # sweep writes its CSV to a relative path
         assert run_cli(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
+    @pytest.mark.parametrize(
+        "case",
+        [case for case in GOLDEN if "--json" in case["argv"] and case["stdout"]],
+        ids=lambda case: case["name"],
+    )
+    def test_json_output_is_strict(self, case):
+        # RFC 8259 has no Infinity or NaN; json.loads accepts them unless told not to
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        json.loads(case["stdout"], parse_constant=reject)
+
 
 class TestWarnings:
     def test_library_warnings_are_reported(self, run_cli, monkeypatch):

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,11 @@ from familyplan.errors import BirthCapError, DomainError
 
 # allowance for series truncation when a band is otherwise zero-width
 TRUNC = 1e-9
+
+# (rule, p, samples, seed, birth_cap) cases with the summary and a digest of
+# the per-family arrays, or the BirthCapError message, that the
+# one-birth-per-pass sampler produced for them
+SAMPLER_GOLDEN = json.loads(Path(__file__).with_name("montecarlo_golden.json").read_text())
 
 
 class _ForcedStream:
@@ -113,6 +122,86 @@ class TestSubstreams:
         with pytest.raises(BirthCapError):
             mc.sample_outcomes((1, 0), 1e-12, 10, 0, birth_cap=50)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        k=st.integers(0, 4),
+        p=st.floats(0.02, 0.98) | st.sampled_from([2.0**-30, 1.0 - 2.0**-53]),
+        samples=st.integers(1, 200),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_scalar_and_vector_paths_agree_on_both_steps(self, n, k, p, samples, seed):
+        # with 64-family blocks nearly every birth is a one-birth step; with
+        # 1 << 16 every step draws a run of births per family
+        if n + k < 1:
+            n = 1
+        cap = 1000
+        expected = []
+        for index in range(samples):
+            try:
+                outcome = mc.simulate_family((n, k), p, mc.FamilyStream(seed, index), cap)
+            except BirthCapError:
+                expected = None
+                break
+            expected.append((outcome.boys, outcome.girls, outcome.total))
+        for block_size in (64, 1024, 1 << 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mc, "_BLOCK_SIZE", block_size)
+                if expected is None:
+                    with pytest.raises(BirthCapError):
+                        mc.sample_outcomes((n, k), p, samples, seed, cap)
+                else:
+                    arrays = mc.sample_outcomes((n, k), p, samples, seed, cap)
+                    assert list(zip(*(a.tolist() for a in arrays))) == expected
+
+    @pytest.mark.parametrize("block_size", [1, 1 << 16])
+    def test_birth_cap_is_the_longest_allowed_family(self, monkeypatch, block_size):
+        # one family per block takes one-birth steps; 50 per block take runs
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", block_size)
+        rule, p, samples, seed = (3, 0), 0.3, 50, 4
+        longest = max(
+            mc.simulate_family(rule, p, mc.FamilyStream(seed, index)).total
+            for index in range(samples)
+        )
+        totals = mc.sample_outcomes(rule, p, samples, seed, birth_cap=longest)[2]
+        assert totals.max() == longest
+        with pytest.raises(BirthCapError):
+            mc.sample_outcomes(rule, p, samples, seed, birth_cap=longest - 1)
+
+    @pytest.mark.parametrize("p", [0.5, 0.1, 5e-324, 1.0 - 2.0**-53])
+    def test_integer_threshold_matches_the_float_compare(self, p):
+        threshold = mc._boy_threshold(p)
+        assert 0 < threshold < 2**64
+        rng = random.Random(p)
+        words = [threshold - 1, threshold] + [rng.getrandbits(64) for _ in range(1000)]
+        for x in words:
+            assert ((x >> 11) * 2.0**-53 < p) == (x < threshold)
+
+    def test_default_birth_cap_ends_a_degenerate_input(self):
+        # about 1e12 births per family; the cap is reached in seconds
+        with pytest.raises(BirthCapError):
+            mc.run_simulation((1, 0), 1e-12, 10, 0)
+
+    @pytest.mark.parametrize(
+        "case", SAMPLER_GOLDEN, ids=[f"case{i}" for i in range(len(SAMPLER_GOLDEN))]
+    )
+    def test_outputs_are_pinned(self, case):
+        args = (tuple(case["rule"]), case["p"], case["samples"], case["seed"], case["birth_cap"])
+        expected = case["expected"]
+        if "error" in expected:
+            for sample in (mc.run_simulation, mc.sample_outcomes):
+                with pytest.raises(BirthCapError) as caught:
+                    sample(*args)
+                assert str(caught.value) == expected["error"]
+            return
+        assert mc.run_simulation(*args).to_dict() == expected["summary"]
+        arrays = mc.sample_outcomes(*args)
+        assert [a.dtype.str for a in arrays] == expected["dtypes"]
+        digest = hashlib.sha256()
+        for values in arrays:
+            digest.update(values.astype("<i8").tobytes())
+        assert digest.hexdigest() == expected["sha256"]
+
 
 class TestRunSimulation:
     def test_identical_seeds_reproduce_identical_summaries(self):
@@ -156,15 +245,17 @@ class TestRunSimulation:
         monkeypatch.setattr(mc, "_BLOCK_SIZE", 1 << 16)
         assert mc.run_simulation(*args) == small
 
-    def test_memory_does_not_grow_with_samples(self):
-        # per-family arrays for 1e6 families would need about 69 MB
+    @pytest.mark.parametrize("rule,p", [((1, 1), 0.5), ((2, 0), 0.1)])
+    def test_memory_does_not_grow_with_samples(self, rule, p):
+        # per-family arrays for 1e6 families would need about 69 MB; the
+        # skewed case spends many steps on runs of births per family
         tracemalloc.start()
         try:
-            mc.run_simulation((1, 1), 0.5, 10**6, 5)
+            mc.run_simulation(rule, p, 10**6, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
     def test_seed_is_masked_to_64_bits(self):
         wide = mc.run_simulation((1, 1), 0.5, 1000, 2**64 + 5)
