@@ -4,8 +4,9 @@ Subcommands: exact, simulate, verify, share, crossing, sweep.  Each one
 computes a single record, its echoed inputs and its results.  With --json
 the record is printed as one JSON envelope (command, inputs, results,
 warnings), with null for a non-finite float; otherwise the same values
-are rendered from it as key/value lines.  Exit codes: 0 success, 1 domain error (invalid rule, probability,
-arguments), 2 numeric failure (overflow, no bracket, identity violation).
+are rendered from it as key/value lines.  Exit codes: 0 success, 1
+domain error (invalid rule, probability, arguments), 2 numeric failure
+(overflow, no bracket, identity violation).
 """
 
 from __future__ import annotations
