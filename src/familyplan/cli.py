@@ -86,6 +86,8 @@ def _cmd_simulate(args: argparse.Namespace) -> _Record:
 def _cmd_verify(args: argparse.Namespace) -> _Record:
     if args.max_n < 0 or args.max_k < 0:
         raise DomainError("--max-n and --max-k must be >= 0")
+    if max(args.max_n, args.max_k) > symbolic.EXACT_RULE_CAP:
+        raise DomainError(f"--max-n or --max-k exceeds the exact-arithmetic cap of {symbolic.EXACT_RULE_CAP}")
     certificates = []
     for n in range(args.max_n + 1):
         for k in range(args.max_k + 1):

@@ -1,12 +1,16 @@
 """Exact rational-function algebra over the birth probability p.
 
-Expected-boys for a rule (n, k) has the closed form
+The paper gives expected boys for a rule (n, k) as
 
     B(n,k,p) = n/(n-1)! * p^n * (-1)^(n-1) * d^(n-1)/dp^(n-1)[ (1-p)^(n+k-1) / p ]
              + p (1-p)^k / (k-1)!          * d^k/dp^k      [ p^(n+k-1) / (1-p) ]
 
-(first term dropped when n = 0, second when k = 0), so it is a rational
-function of p with exact rational coefficients.  Building both sides of
+(first term dropped when n = 0, second when k = 0).  The general Leibniz
+rule expands both derivatives: with N = n+k-1 and q = 1-p, B = M/q, where
+
+    M = n sum_{j<n} C(N,j) p^j q^(N+1-j) + k sum_{j<=min(k,N)} C(N,j) p^(N+1-j) q^j
+
+has integer coefficients and degree at most N+1.  Building both sides of
 
     (1-p) B(n,k,p)  =  p B(k,n,1-p)
 
@@ -28,15 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Iterable, Sequence, Union
 
 from .core import _check_int
 from .errors import DomainError, PoleError
 
-# Coefficient sizes blow up factorially with the derivative order; the cap
-# keeps certificate construction well inside interactive time.
-EXACT_RULE_CAP = 12
+# B = M/(1-p), M the integer Leibniz expansion, takes O((n+k)^2) operations;
+# the cap bounds a verify grid, whose work grows as the fourth power of it.
+EXACT_RULE_CAP = 20
 
 Scalar = Union[int, Fraction]
 
@@ -144,13 +148,6 @@ class Polynomial:
         return Polynomial(
             [i * c for i, c in enumerate(self.coefficients)][1:]
         )
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitute inner for the variable (Horner over polynomials)."""
-        result = Polynomial()
-        for c in reversed(self.coefficients):
-            result = result * inner + Polynomial([c])
-        return result
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -370,9 +367,14 @@ def differentiate(f: RationalFunction, order: int) -> RationalFunction:
 
 
 def mirror(f: RationalFunction) -> RationalFunction:
-    """Substitute p -> 1-p: N(1-p) / ((1-p)^a p^b)."""
+    """Substitute p -> 1-p: N(1-p) / ((1-p)^a p^b), N(1-p) by an integer Taylor shift."""
+    # dividing by p - 1 leaves the next coefficient of N(1+x) as the remainder
+    coeffs, shifted = f.numerator.coefficients[::-1], []
+    while coeffs:
+        *coeffs, value = accumulate(coeffs)
+        shifted.append(-value if len(shifted) % 2 else value)
     a, b = f.exponents
-    return RationalFunction._reduced(f.numerator.compose(ONE_MINUS_P), b, a)
+    return RationalFunction._reduced(Polynomial(shifted), b, a)
 
 
 def _check_rule_caps(n: int, k: int) -> None:
@@ -389,16 +391,13 @@ def _check_rule_caps(n: int, k: int) -> None:
 @lru_cache(maxsize=512)
 def _expected_boys_exact_cached(n: int, k: int) -> RationalFunction:
     total = n + k - 1
-    result = RationalFunction(Polynomial())
-    if n >= 1:
-        base = RationalFunction(ONE_MINUS_P**total, P_VAR)
-        scale = Fraction(n * (-1) ** (n - 1), factorial(n - 1))
-        result = result + differentiate(base, n - 1) * (P_VAR**n) * scale
-    if k >= 1:
-        base = RationalFunction(P_VAR**total, ONE_MINUS_P)
-        scale = Fraction(1, factorial(k - 1))
-        result = result + differentiate(base, k) * (P_VAR * ONE_MINUS_P**k) * scale
-    return result
+    terms = [(n * comb(total, j), j, total + 1 - j) for j in range(n)]
+    terms += [(k * comb(total, j), total + 1 - j, j) for j in range(min(k, total) + 1)]
+    coeffs = [0] * (total + 2)
+    for scale, a, b in terms:
+        for i in range(b + 1):
+            coeffs[a + i] += (-1) ** i * scale * comb(b, i)
+    return RationalFunction._reduced(Polynomial(coeffs), 0, 1)
 
 
 def expected_boys_exact(n: int, k: int) -> RationalFunction:
@@ -430,7 +429,6 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     Because both sides are canonical, holds=True is a proof that the rule's
     gender ratio equals the birth odds everywhere on (0,1).
     """
-    _check_rule_caps(n, k)
     lhs = expected_boys_exact(n, k) * RationalFunction(ONE_MINUS_P)
     rhs = mirror(expected_boys_exact(k, n)) * RationalFunction(P_VAR)
     return RatioCertificate(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -122,11 +123,22 @@ class TestVerify:
         assert results["all_hold"] is False
         assert [cert["holds"] for cert in results["certificates"]] == [False]
 
-    def test_cap_exceeded_names_the_cap(self, run_cli):
-        code, _, err = run_cli(["verify", "--max-n", "13", "--max-k", "0"])
-        assert code == 1
-        assert "cap" in err
-        assert "12" in err
+    def test_cap_exceeded_names_the_cap(self, run_cli, monkeypatch):
+        built = []
+        monkeypatch.setattr(symbolic, "verify_ratio_identity", lambda n, k: built.append((n, k)))
+        for flag in ("--max-n", "--max-k"):
+            code, _, err = run_cli(["verify", flag, "21"])
+            assert code == 1
+            assert "cap" in err
+            assert "20" in err
+        assert built == []  # rejected before any certificate is built
+
+    def test_twelve_by_twelve_json_is_pinned(self, run_cli):
+        code, out, _ = run_cli(["verify", "--max-n", "12", "--max-k", "12", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "093cca4fb2c4811bf0288e636c256060c134ccb583d2bb119adc2852a1623b57"
+        )
 
 
 class TestShare:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +112,16 @@ class TestRationalFunction:
         f = RationalFunction(num, den)
         assert symbolic.mirror(symbolic.mirror(f)) == f
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.lists(st.fractions(-9, 9, max_denominator=9), max_size=7).map(Polynomial),
+        den=denominators,
+        x=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100),
+    )
+    def test_mirror_substitutes_one_minus_p(self, num, den, x):
+        f = RationalFunction(num, den)
+        assert symbolic.mirror(f).evaluate(x) == f.evaluate(1 - x)
+
     def test_mirror_anchors(self):
         odds = RationalFunction(P_VAR, ONE_MINUS_P)
         assert symbolic.mirror(odds) == RationalFunction(ONE_MINUS_P, P_VAR)
@@ -173,6 +183,34 @@ class TestExpectedBoysExact:
         girls = symbolic.expected_girls_exact(2, 1)
         boys_mirrored = symbolic.mirror(symbolic.expected_boys_exact(1, 2))
         assert girls == boys_mirrored
+
+
+def derivative_chain_boys(n: int, k: int) -> RationalFunction:
+    """B(n,k) by the paper's derivative formula, one derivative at a time."""
+    total = n + k - 1
+    result = RationalFunction(Polynomial())
+    if n >= 1:
+        base = RationalFunction(ONE_MINUS_P**total, P_VAR)
+        scale = Fraction(n * (-1) ** (n - 1), factorial(n - 1))
+        result = result + symbolic.differentiate(base, n - 1) * P_VAR**n * scale
+    if k >= 1:
+        base = RationalFunction(P_VAR**total, ONE_MINUS_P)
+        scale = Fraction(1, factorial(k - 1))
+        result = result + symbolic.differentiate(base, k) * (P_VAR * ONE_MINUS_P**k) * scale
+    return result
+
+
+def test_leibniz_boys_equal_derivative_chain():
+    cap = symbolic.EXACT_RULE_CAP
+    for n in range(cap + 1):
+        for k in range(cap + 1):
+            if n + k < 1:
+                continue
+            boys = symbolic.expected_boys_exact(n, k)
+            chain = derivative_chain_boys(n, k)
+            assert boys.numerator.coefficients == chain.numerator.coefficients, (n, k)
+            assert boys.exponents == chain.exponents, (n, k)
+            assert all(type(c) is int for c in boys.numerator.coefficients), (n, k)
 
 
 class TestRatioIdentity:
