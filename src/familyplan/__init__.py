@@ -21,22 +21,17 @@ from .analysis import (
 from .core import (
     BirthProbability,
     Rule,
-    StoppingOutcome,
     TruncatedMoments,
     enumerate_brute_force,
-    enumerate_stopped_outcomes,
     pmf_support_min,
-    stopping_pmf,
     stopping_pmf_components,
 )
 from .errors import (
     BirthCapError,
     BracketingError,
     DomainError,
-    ExtremeProbabilityError,
     NumericError,
     PoleError,
-    TermCapError,
 )
 from .montecarlo import (
     FamilyOutcome,
@@ -66,10 +61,8 @@ from .symbolic import (
     Polynomial,
     RatioCertificate,
     RationalFunction,
-    differentiate,
     evaluate_exact,
     expected_boys_exact,
-    expected_girls_exact,
     mirror,
     verify_ratio_identity,
 )
@@ -81,7 +74,6 @@ __all__ = [
     "BirthProbability",
     "BracketingError",
     "DomainError",
-    "ExtremeProbabilityError",
     "FamilyOutcome",
     "FamilyStream",
     "MultipleCrossingsWarning",
@@ -94,22 +86,17 @@ __all__ = [
     "SeriesResult",
     "ShareReport",
     "SimulationSummary",
-    "StoppingOutcome",
     "SweepRow",
-    "TermCapError",
     "TruncatedMoments",
     "average_share",
     "closed_form",
     "crossing_probability",
-    "differentiate",
     "enumerate_brute_force",
-    "enumerate_stopped_outcomes",
     "evaluate_exact",
     "expected_boys",
     "expected_boys_exact",
     "expected_family_size",
     "expected_girls",
-    "expected_girls_exact",
     "gender_ratio",
     "mirror",
     "pmf_support_min",
@@ -119,7 +106,6 @@ __all__ = [
     "share_report",
     "simulate_family",
     "societal_share",
-    "stopping_pmf",
     "stopping_pmf_components",
     "sweep",
     "sweep_to_csv",

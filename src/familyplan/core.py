@@ -10,7 +10,8 @@ satisfied and l = T - 1, the pmf of T splits into two addends:
       C(l, k-1) * p^(T-k) * (1-p)^k
 
 both supported on T >= n + k.  When n = 0 or k = 0 the corresponding
-addend is dropped.
+addend is dropped.  The float p is exactly a/2^e, so each addend is
+computed as one integer over 2^(e*T) and rounded once.
 
 This module also hosts the brute-force oracle: a depth-first walk over raw
 birth sequences that shares no algebra with the series machinery and acts
@@ -58,10 +59,6 @@ class Rule:
     def total_required(self) -> int:
         return self.boys_required + self.girls_required
 
-    def mirrored(self) -> "Rule":
-        """Swap the roles of boys and girls."""
-        return Rule(self.girls_required, self.boys_required)
-
     def is_satisfied(self, boys: int, girls: int) -> bool:
         return boys >= self.boys_required and girls >= self.girls_required
 
@@ -91,26 +88,10 @@ class BirthProbability:
         return self.p / (1.0 - self.p)
 
 
-@dataclass(frozen=True)
-class StoppingOutcome:
-    """One completed family: size T, its composition, and the closing birth."""
-
-    total_children: int
-    boys: int
-    girls: int
-    last_is_boy: bool
-
-    def __post_init__(self) -> None:
-        if self.total_children < 1 or self.boys < 0 or self.girls < 0:
-            raise DomainError("outcome counts out of range")
-        if self.boys + self.girls != self.total_children:
-            raise DomainError("boys + girls must equal total_children")
-
-    def consistent_with(self, rule: Rule) -> bool:
-        """Check the first-satisfaction structure this outcome must have."""
-        if self.last_is_boy:
-            return self.boys == rule.boys_required and self.girls >= rule.girls_required
-        return self.girls == rule.girls_required and self.boys >= rule.boys_required
+def _dyadic(prob: BirthProbability) -> tuple[int, int, int]:
+    """(a, e, c) with the float p = a/2^e exactly and q = 1 - p = c/2^e."""
+    a, power = prob.p.as_integer_ratio()
+    return a, power.bit_length() - 1, power - a
 
 
 def as_rule(rule: Rule | tuple[int, int]) -> Rule:
@@ -141,6 +122,26 @@ def pmf_support_min(rule: Rule | tuple[int, int]) -> int:
     return _require_stoppable(as_rule(rule)).total_required
 
 
+def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[float, float]]:
+    """The (boy-last, girl-last) addends of P(T = t), then of P(T = t + 1), ...
+
+    With p = a/2^e and q = c/2^e the boy-last addend is the integer
+    C(t-1, n-1) a^n c^(t-n) over 2^(e*t), rounded once, and t -> t + 1
+    multiplies that integer by t c / (t - n + 1) exactly; the girl-last
+    addend likewise, with a and c swapped.  t must be at least n + k.
+    """
+    n, k = rule.boys_required, rule.girls_required
+    a, e, c = _dyadic(prob)
+    boys = math.comb(t - 1, n - 1) * a**n * c ** (t - n) if n else 0
+    girls = math.comb(t - 1, k - 1) * a ** (t - k) * c**k if k else 0
+    while True:
+        scale = 1 << e * t
+        yield boys / scale, girls / scale
+        boys = boys * t * c // (t - n + 1)
+        girls = girls * t * a // (t - k + 1)
+        t += 1
+
+
 def stopping_pmf_components(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
@@ -149,35 +150,15 @@ def stopping_pmf_components(
     """The (boy-last, girl-last) addends of P(T = total_children).
 
     This decomposition is what the series and share computations weight
-    term by term; ``stopping_pmf`` is its sum.
+    term by term.  Each addend is correctly rounded at the float p, however
+    large its binomial coefficient.
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
     _check_int("total_children", total_children, 1)
-
-    n, k = rule.boys_required, rule.girls_required
     if total_children < rule.total_required:
         return (0.0, 0.0)
-
-    last = total_children - 1
-    pp, q = prob.p, prob.q
-    boy_last = 0.0
-    girl_last = 0.0
-    if n >= 1:
-        boy_last = math.comb(last, n - 1) * pp**n * q ** (total_children - n)
-    if k >= 1:
-        girl_last = math.comb(last, k - 1) * pp ** (total_children - k) * q**k
-    return (boy_last, girl_last)
-
-
-def stopping_pmf(
-    rule: Rule | tuple[int, int],
-    p: BirthProbability | float,
-    total_children: int,
-) -> float:
-    """P(T = total_children) for the rule's stopping time T."""
-    boy_last, girl_last = stopping_pmf_components(rule, p, total_children)
-    return boy_last + girl_last
+    return next(_pmf_addends(rule, prob, total_children))
 
 
 @dataclass(frozen=True)
@@ -264,29 +245,6 @@ def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool
     return tuple(leaves)
 
 
-def _check_enumeration_args(max_children: int, cap: int) -> None:
-    _check_int("max_children", max_children, 1)
-    if max_children > cap:
-        raise DomainError(
-            f"max_children={max_children} exceeds the enumeration cap of {cap}; "
-            "raise cap= explicitly if the walk is known to stay tractable"
-        )
-
-
-def enumerate_stopped_outcomes(
-    rule: Rule | tuple[int, int],
-    max_children: int,
-    cap: int = BRUTE_FORCE_CAP,
-) -> Iterator[StoppingOutcome]:
-    """Yield every completed family with T <= max_children, one per sequence."""
-    rule = _require_stoppable(as_rule(rule))
-    _check_enumeration_args(max_children, cap)
-    for boys, girls, last_is_boy in _stopped_sequences(
-        rule.boys_required, rule.girls_required, max_children
-    ):
-        yield StoppingOutcome(boys + girls, boys, girls, last_is_boy)
-
-
 def enumerate_brute_force(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
@@ -301,7 +259,12 @@ def enumerate_brute_force(
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    _check_enumeration_args(max_children, cap)
+    _check_int("max_children", max_children, 1)
+    if max_children > cap:
+        raise DomainError(
+            f"max_children={max_children} exceeds the enumeration cap of {cap}; "
+            "raise cap= explicitly if the walk is known to stay tractable"
+        )
 
     pp, q = prob.p, prob.q
     return _outcome_moments(

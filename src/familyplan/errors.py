@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+DomainError marks invalid input and NumericError a result that cannot be
+delivered; the CLI exits 1 and 2 on them.  Each class here is raised
+somewhere in the package.
+"""
 
 
 class DomainError(ValueError):
@@ -9,24 +14,8 @@ class NumericError(RuntimeError):
     """A computation could not meet its numeric contract."""
 
 
-class TermCapError(NumericError):
-    """Series truncation failed to reach the tolerance within the term cap.
-
-    Nothing raises it now: no value is a truncated series.  It stays
-    exported so that code catching it keeps working.
-    """
-
-
-class ExtremeProbabilityError(NumericError):
-    """Birth probability too close to 0 or 1 for series evaluation.
-
-    Nothing raises it now: every value is evaluated at any p in (0, 1).  It
-    stays exported so that code catching it keeps working.
-    """
-
-
 class BirthCapError(NumericError):
-    """A simulated family exceeded the per-family birth cap."""
+    """A simulated family exceeded, or a rule needs more than, the per-family birth cap."""
 
 
 class BracketingError(NumericError):

@@ -153,6 +153,15 @@ class SimulationSummary:
         return asdict(self)
 
 
+def _check_birth_cap(rule: Rule, birth_cap: int) -> None:
+    """Raise BirthCapError at once if no family can stop within birth_cap births."""
+    if rule.total_required > birth_cap:
+        raise BirthCapError(
+            f"rule ({rule.boys_required},{rule.girls_required}) needs at least "
+            f"{rule.total_required} births per family, above the cap of {birth_cap}"
+        )
+
+
 def simulate_family(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
@@ -162,6 +171,7 @@ def simulate_family(
     """Draw births (boy iff u < p) until the rule is first satisfied."""
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
+    _check_birth_cap(rule, birth_cap)
     n, k = rule.boys_required, rule.girls_required
 
     boys = 0
@@ -210,6 +220,7 @@ def _sample_blocks(
     prob = as_probability(p)
     _check_int("samples", samples, 1)
     seed = _check_seed(seed)
+    _check_birth_cap(rule, birth_cap)
 
     n, k = rule.boys_required, rule.girls_required
     shortest = n + k  # no family stops before its (n+k)-th birth

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (
-    BirthProbability, Rule, TruncatedMoments, _check_int, _outcome_moments, _require_stoppable,
-    as_probability, as_rule, pmf_support_min, stopping_pmf_components,
+    BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _outcome_moments, _pmf_addends,
+    _require_stoppable, as_probability, as_rule,
 )
 from .errors import DomainError, NumericError
 
@@ -57,12 +57,6 @@ def _horner(m: int, count: int, x: int, e: int) -> int:
         total = total * x + (coefficient << e * (count - 1 - j))
         coefficient = coefficient * j // (m + j)
     return total
-
-
-def _dyadic(prob: BirthProbability) -> tuple[int, int, int]:
-    """(a, e, c) with the float p = a/2^e exactly and q = 1 - p = c/2^e."""
-    a, power = prob.p.as_integer_ratio()
-    return a, power.bit_length() - 1, power - a
 
 
 def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[int, int]:
@@ -173,8 +167,9 @@ def truncated_moments(
     n, k = rule.boys_required, rule.girls_required
 
     def addends():
-        for t in range(pmf_support_min(rule), max_children + 1):
-            boy_last, girl_last = stopping_pmf_components(rule, prob, t)
+        pmf = _pmf_addends(rule, prob, rule.total_required)
+        for t in range(rule.total_required, max_children + 1):
+            boy_last, girl_last = next(pmf)
             yield n, t - n, boy_last
             yield t - k, k, girl_last
 

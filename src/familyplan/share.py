@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BirthProbability, Rule, _require_stoppable, as_probability, as_rule
+from .core import BirthProbability, Rule, _dyadic, _require_stoppable, as_probability, as_rule
 from .errors import NumericError
-from .series import SeriesResult, _check_tolerance, _dyadic
+from .series import SeriesResult, _check_tolerance
 
 # Bits beyond the cancellation of the logarithm terms and the bits of e: one
 # round settles nearly every value; each further round of Ziv's doubles them.

@@ -17,10 +17,10 @@ has integer coefficients and degree at most N+1.  Building both sides of
 and canonicalizing turns the ratio-invariance claim into a structural
 equality of polynomials: a proof for that (n, k), not an approximation.
 
-Every function built here, and every derivative of one, has a denominator
-p^a (1-p)^b, so a RationalFunction is stored as N(p) / (p^a (1-p)^b): a
-numerator polynomial N and the exponents (a, b).  Coefficients are int,
-or Fraction where not integral.  The canonical form cancels the only
+Every function built here has a denominator p^a (1-p)^b, so a
+RationalFunction is stored as N(p) / (p^a (1-p)^b): a numerator
+polynomial N and the exponents (a, b).  Coefficients are int, or
+Fraction where not integral.  The canonical form cancels the only
 factors N can share with the denominator: while a > 0 and N(0) = 0, N
 loses a factor p; while b > 0 and N(1) = 0, N loses a factor 1-p.  Equal
 functions therefore have equal canonical forms, with no polynomial GCD.
@@ -131,24 +131,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise DomainError("polynomial exponent must be >= 0")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(
-            [i * c for i, c in enumerate(self.coefficients)][1:]
-        )
-
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -170,7 +152,7 @@ def _as_poly(value: "Polynomial | Scalar") -> Polynomial:
     raise DomainError(f"cannot interpret {value!r} as a polynomial")
 
 
-#: The variable itself, and the two building blocks used everywhere below.
+#: p and 1 - p, the two factors of the ratio identity.
 P_VAR = Polynomial([0, 1])
 ONE_MINUS_P = Polynomial([1, -1])
 
@@ -277,7 +259,7 @@ class RationalFunction:
         return self.numerator.is_zero()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction, Polynomial)) and not isinstance(other, bool):
             other = RationalFunction(_as_poly(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -318,15 +300,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "RationalFunction":
-        """(N' p(1-p) - a N (1-p) + b N p) / (p^(a+1) (1-p)^(b+1))."""
-        num, (a, b) = self.numerator, self.exponents
-        return RationalFunction._reduced(
-            num.derivative() * _power_product(1, 1) - num * ONE_MINUS_P * a + num * P_VAR * b,
-            a + 1,
-            b + 1,
-        )
-
     def evaluate(self, x: Fraction) -> Fraction:
         a, b = self.exponents
         if (a and x == 0) or (b and x == 1):
@@ -356,14 +329,6 @@ def _as_rational(value: "RationalFunction | Polynomial | Scalar") -> RationalFun
     if isinstance(value, RationalFunction):
         return value
     return RationalFunction(_as_poly(value))
-
-
-def differentiate(f: RationalFunction, order: int) -> RationalFunction:
-    """Exact order-th derivative, canonicalized after every step."""
-    _check_int("derivative order", order, 0)
-    for _ in range(order):
-        f = f.derivative()
-    return f
 
 
 def mirror(f: RationalFunction) -> RationalFunction:
@@ -404,12 +369,6 @@ def expected_boys_exact(n: int, k: int) -> RationalFunction:
     """B(n,k,p) as an exact rational function on (0,1)."""
     _check_rule_caps(n, k)
     return _expected_boys_exact_cached(n, k)
-
-
-def expected_girls_exact(n: int, k: int) -> RationalFunction:
-    """G(n,k,p) = B(k,n,1-p), exactly."""
-    _check_rule_caps(n, k)
-    return mirror(_expected_boys_exact_cached(k, n))
 
 
 @dataclass(frozen=True)

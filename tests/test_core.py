@@ -11,6 +11,10 @@ RULES_TO_4 = [(n, k) for n in range(5) for k in range(5) if n + k >= 1]
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
+def pmf(rule, p, t):
+    return sum(core.stopping_pmf_components(rule, p, t))
+
+
 class TestValidation:
     def test_rule_rejects_negative_counts(self):
         with pytest.raises(DomainError):
@@ -32,38 +36,33 @@ class TestValidation:
         with pytest.raises(DomainError):
             core.pmf_support_min(zero)
         with pytest.raises(DomainError):
-            core.stopping_pmf(zero, 0.5, 3)
+            core.stopping_pmf_components(zero, 0.5, 3)
         with pytest.raises(DomainError):
             core.enumerate_brute_force(zero, 0.5, 10)
 
     def test_pmf_rejects_zero_children(self):
         with pytest.raises(DomainError):
-            core.stopping_pmf((1, 1), 0.5, 0)
-
-    def test_outcome_requires_consistent_counts(self):
-        with pytest.raises(DomainError):
-            core.StoppingOutcome(total_children=3, boys=1, girls=1, last_is_boy=True)
+            core.stopping_pmf_components((1, 1), 0.5, 0)
 
 
 class TestPmf:
     def test_two_boys_rule_needs_boy_boy(self):
         # only the sequence BB stops at 2, probability p^2
-        assert core.stopping_pmf((2, 0), 0.5, 2) == pytest.approx(0.25, abs=1e-15)
+        assert pmf((2, 0), 0.5, 2) == pytest.approx(0.25, abs=1e-15)
 
     def test_one_each_rule_at_two(self):
         # BG and GB, each 1/4
-        assert core.stopping_pmf((1, 1), 0.5, 2) == pytest.approx(0.5, abs=1e-15)
+        assert pmf((1, 1), 0.5, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_one_rule_at_four_matches_enumeration(self):
         # frozen from the sequence walk: 3 boy-last + 1 girl-last sequences of mass 1/16
-        outcomes = [
-            o
-            for o in core.enumerate_stopped_outcomes((2, 1), 6)
-            if o.total_children == 4
-        ]
-        enumerated = sum(0.5**o.boys * 0.5**o.girls for o in outcomes)
+        enumerated = sum(
+            0.5**boys * 0.5**girls
+            for boys, girls, _last in core._stopped_sequences(2, 1, 6)
+            if boys + girls == 4
+        )
         assert enumerated == pytest.approx(0.25, abs=1e-15)
-        assert core.stopping_pmf((2, 1), 0.5, 4) == pytest.approx(enumerated, abs=1e-14)
+        assert pmf((2, 1), 0.5, 4) == pytest.approx(enumerated, abs=1e-14)
 
     @pytest.mark.parametrize(
         "rule,expected", [((1, 1), 2), ((2, 0), 2), ((3, 2), 5), ((1, 0), 1), ((0, 1), 1)]
@@ -74,14 +73,14 @@ class TestPmf:
     @pytest.mark.parametrize("rule", [(1, 1), (3, 2), (2, 0)])
     def test_zero_below_support(self, rule):
         for t in range(1, core.pmf_support_min(rule)):
-            assert core.stopping_pmf(rule, 0.3, t) == 0.0
+            assert pmf(rule, 0.3, t) == 0.0
 
     @pytest.mark.parametrize("rule", RULES_TO_4)
     def test_normalization_against_brute_force(self, rule):
         horizon = 20
         for p in P_GRID:
             total = math.fsum(
-                core.stopping_pmf(rule, p, t)
+                pmf(rule, p, t)
                 for t in range(core.pmf_support_min(rule), horizon + 1)
             )
             oracle = core.enumerate_brute_force(rule, p, horizon)
@@ -97,8 +96,8 @@ class TestPmf:
     def test_mirror_symmetry(self, n, k, p, t):
         if n + k < 1:
             n = 1
-        direct = core.stopping_pmf((n, k), p, t)
-        mirrored = core.stopping_pmf((k, n), 1.0 - p, t)
+        direct = pmf((n, k), p, t)
+        mirrored = pmf((k, n), 1.0 - p, t)
         assert direct == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
         assert 0.0 <= direct <= 1.0
 
@@ -128,16 +127,19 @@ class TestBruteForce:
         assert result.mass_covered > 1.0 - 1e-7
 
     def test_outcomes_have_first_satisfaction_structure(self):
+        # the closing birth brings its own sex to exactly the required count
         rule = core.Rule(2, 1)
-        for outcome in core.enumerate_stopped_outcomes(rule, 12):
-            assert outcome.consistent_with(rule)
-            assert rule.is_satisfied(outcome.boys, outcome.girls)
+        for boys, girls, last_is_boy in core._stopped_sequences(2, 1, 12):
+            if last_is_boy:
+                assert boys == 2 and girls >= 1
+            else:
+                assert girls == 1 and boys >= 2
+            assert rule.is_satisfied(boys, girls)
 
     def test_outcome_count_matches_direct_walk(self):
         # every stopped leaf is a distinct sequence: cross-check the count
         # for (1,1) at horizon 5: T=t has exactly 2 sequences for t >= 2
-        outcomes = list(core.enumerate_stopped_outcomes((1, 1), 5))
         by_total = {}
-        for o in outcomes:
-            by_total[o.total_children] = by_total.get(o.total_children, 0) + 1
+        for boys, girls, _last in core._stopped_sequences(1, 1, 5):
+            by_total[boys + girls] = by_total.get(boys + girls, 0) + 1
         assert by_total == {2: 2, 3: 2, 4: 2, 5: 2}

@@ -68,6 +68,14 @@ class TestSimulateFamily:
         with pytest.raises(BirthCapError):
             mc.simulate_family((1, 0), 1e-12, mc.FamilyStream(0, 0), birth_cap=50)
 
+    def test_rule_longer_than_the_birth_cap_draws_nothing(self):
+        class NoDraws:
+            def random(self):
+                raise AssertionError("drew a birth for a rule that cannot stop")
+
+        with pytest.raises(BirthCapError):
+            mc.simulate_family((51, 0), 0.5, NoDraws(), birth_cap=50)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(0, 3),
@@ -121,6 +129,15 @@ class TestSubstreams:
     def test_vector_birth_cap(self):
         with pytest.raises(BirthCapError):
             mc.sample_outcomes((1, 0), 1e-12, 10, 0, birth_cap=50)
+
+    def test_rule_longer_than_the_birth_cap_mixes_nothing(self, monkeypatch):
+        # no family can stop before its (n+k)-th birth, so no block is drawn
+        def no_mixing(x):
+            raise AssertionError("mixed a block for a rule that cannot stop")
+
+        monkeypatch.setattr(mc, "_mix64_array", no_mixing)
+        with pytest.raises(BirthCapError):
+            mc.run_simulation((51, 0), 0.5, 10, 0, birth_cap=50)
 
     @settings(max_examples=40, deadline=None)
     @given(

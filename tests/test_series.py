@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,13 @@ class TestTruncatedMoments:
                 getattr(oracle, name), abs=1e-12
             ), name
 
+    @pytest.mark.parametrize("rule,p,horizon", [((600, 0), 0.5, 1500), ((10, 600), 0.3, 1300)])
+    def test_binomials_beyond_float_range(self, rule, p, horizon):
+        # C(1499, 599) and C(1299, 599) exceed the largest float
+        truncated = series.truncated_moments(rule, p, horizon)
+        assert all(math.isfinite(value) for value in astuple(truncated))
+        assert 0.0 <= truncated.mass_covered <= 1.0
+
 
 CAP_RULES = [
     (n, k)
@@ -195,7 +203,8 @@ class TestWaldFiniteSum:
         exact_p = Fraction(p)
         for n, k in CAP_RULES:
             boys = symbolic.evaluate_exact(symbolic.expected_boys_exact(n, k), exact_p)
-            girls = symbolic.evaluate_exact(symbolic.expected_girls_exact(n, k), exact_p)
+            girls_exact = symbolic.mirror(symbolic.expected_boys_exact(k, n))  # G(n,k,p) = B(k,n,1-p)
+            girls = symbolic.evaluate_exact(girls_exact, exact_p)
             assert series.expected_boys((n, k), p, 1e-10).value == float(boys)
             assert series.expected_girls((n, k), p, 1e-10).value == float(girls)
             assert series.expected_family_size((n, k), p, 1e-10).value == float(boys + girls)
