@@ -12,7 +12,6 @@ p/(1-p) for every rule.
 """
 
 from .analysis import (
-    MultipleCrossingsWarning,
     SweepRow,
     crossing_probability,
     sweep,
@@ -76,7 +75,6 @@ __all__ = [
     "DomainError",
     "FamilyOutcome",
     "FamilyStream",
-    "MultipleCrossingsWarning",
     "NumericError",
     "PoleError",
     "Polynomial",

@@ -2,8 +2,8 @@
 
 The (1,1) and (2,0) rules produce equal average family sizes at exactly
 one birth probability, p = (sqrt(5) - 1) / 2; ``crossing_probability``
-locates such crossings for any rule pair by scanning for a sign change of
-the family-size difference and bisecting.  ``sweep`` tabulates any of the
+locates such crossings for any rule pair by bisecting (0, 1) on the exact
+sign of the family-size difference.  ``sweep`` tabulates any of the
 rule quantities over a p grid for CSV emission.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 from . import share as share_mod
@@ -27,15 +26,7 @@ from .series import (
     gender_ratio,
 )
 
-SCAN_LOW = 0.01
-SCAN_HIGH = 0.99
-SCAN_POINTS = 97
-
 SWEEP_QUANTITIES = ("F", "G", "B", "ratio", "societal_share", "average_share")
-
-
-class MultipleCrossingsWarning(UserWarning):
-    """The scan found more than one sign change; the leftmost root is returned."""
 
 
 @dataclass(frozen=True)
@@ -53,17 +44,17 @@ def crossing_probability(
 ) -> float:
     """Birth probability at which the two rules have equal average family size.
 
-    Scans SCAN_POINTS points on [SCAN_LOW, SCAN_HIGH] for a sign change of
-    F_a - F_b, then bisects the leftmost bracket until it is narrower than
-    tol or its ends are adjacent floats.  Each sign is exact, from
-    cross-multiplying the two exact Wald fractions of F, so a grid point
-    is a root only where the exact difference is 0.  Raises
-    BracketingError when the curves never cross; warns via
-    MultipleCrossingsWarning when more than one bracket exists.
+    Bisects [0, 1] on the exact sign of F_a - F_b, from cross-multiplying
+    the two Wald fractions of F, and returns the first midpoint where it is
+    0, or else a midpoint once the ends are adjacent floats; tol is checked
+    but unused.  The sign keeps one value on (0, 1), and BracketingError is
+    raised, iff one rule needs at least as many boys and girls as the other;
+    otherwise it goes like (n_a - n_b)/p near 0 and (k_a - k_b)/q near 1,
+    so the extreme floats 2^-1074 and 1 - 2^-53 bracket a root.
     """
     rule_a = _require_stoppable(as_rule(rule_a))
     rule_b = _require_stoppable(as_rule(rule_b))
-    tol = _check_tolerance(tol)
+    _check_tolerance(tol)
 
     def sign(p: float) -> int:
         prob = BirthProbability(p)
@@ -73,48 +64,20 @@ def crossing_probability(
         cross = num_a * den_b - num_b * den_a
         return (cross > 0) - (cross < 0)
 
-    step = (SCAN_HIGH - SCAN_LOW) / (SCAN_POINTS - 1)
-    grid = [SCAN_LOW + i * step for i in range(SCAN_POINTS)]
-    signs = [sign(p) for p in grid]
-
-    brackets = [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if signs[i] * signs[i + 1] < 0
-    ]
-    if not brackets:
-        # a grid point can sit exactly on an isolated root; identically
-        # zero differences (coinciding curves) are not a crossing
-        if any(signs):
-            for p, s in zip(grid, signs):
-                if s == 0:
-                    return p
+    s_low = sign(math.ulp(0.0))
+    if s_low * sign(1.0 - 2.0**-53) >= 0:
         raise BracketingError(
-            f"family sizes of {rule_a} and {rule_b} never change order on "
-            f"[{SCAN_LOW}, {SCAN_HIGH}]"
+            f"family sizes of {rule_a} and {rule_b} never change order on (0, 1)"
         )
-    if len(brackets) > 1:
-        warnings.warn(
-            f"{len(brackets)} sign changes found; returning the leftmost root",
-            MultipleCrossingsWarning,
-            stacklevel=2,
-        )
-
-    low, high = brackets[0]
-    s_low = sign(low)
-    while high - low > tol:
+    low, high = 0.0, 1.0
+    while True:
         mid = 0.5 * (low + high)
         if mid in (low, high):
-            # no float lies between low and high: tol is below their spacing
-            break
+            return mid
         s_mid = sign(mid)
         if s_mid == 0:
             return mid
-        if s_low != s_mid:
-            high = mid
-        else:
-            low, s_low = mid, s_mid
-    return 0.5 * (low + high)
+        low, high = (mid, high) if s_mid == s_low else (low, mid)
 
 
 def _quantity_value(

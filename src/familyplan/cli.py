@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="bisection tolerance for crossing; exact, share and sweep check it but do not use it "
-        "(default 1e-10)",
+        help="tolerance, checked but unused by every subcommand (default 1e-10)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,7 +19,7 @@ class BirthCapError(NumericError):
 
 
 class BracketingError(NumericError):
-    """Root search found no sign change on the scan interval."""
+    """Root search found no sign change on (0, 1)."""
 
 
 class PoleError(NumericError):

@@ -63,9 +63,12 @@ def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[i
     """Exact (numerator, denominator > 0) of E[T] times p ("boys"), q ("girls") or 1 ("family_size")."""
     n, k = rule.boys_required, rule.girls_required
     a, e, c = _dyadic(prob)
-    # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)))
-    mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
-    numerator = ((n * c + k * a) << e * (n + k)) - a * c * mins
+    try:
+        # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)))
+        mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
+        numerator = ((n * c + k * a) << e * (n + k)) - a * c * mins
+    except OverflowError:
+        raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     scale = {"boys": c << e, "girls": a << e, "family_size": a * c}[quantity]
     return numerator, scale << e * (n + k - 1)
 

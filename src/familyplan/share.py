@@ -115,7 +115,10 @@ def average_share(
     _check_tolerance(tol)
     n, k = rule.boys_required, rule.girls_required
     (a, e, c), size = _dyadic(prob), n + k
-    lcm = math.lcm(*range(1, size + 1))
+    try:
+        lcm = math.lcm(*range(1, size + 1))
+    except OverflowError:
+        raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     mass_b, rational_b, log_b = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
     rational_g, log_g = _branch(k, c, a, e, size, lcm)[1:] if k else (0, 0)
     denominator = lcm * c**n * a**k << e * size

@@ -3,17 +3,47 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from familyplan import analysis
+from familyplan import analysis, series
+from familyplan.core import BirthProbability, Rule
 from familyplan.errors import BracketingError, DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SMALL_RULES = [(n, k) for n in range(8) for k in range(8) if n + k]
+
+
+def _exact_sign(a, b, p):
+    """Sign of F_a - F_b at the float p, from the exact Wald fractions."""
+    prob = BirthProbability(p)
+    (num_a, den_a), (num_b, den_b) = (
+        series._wald_fraction(Rule(*rule), prob, "family_size") for rule in (a, b)
+    )
+    cross = num_a * den_b - num_b * den_a
+    return (cross > 0) - (cross < 0)
+
+
+def _check_crossing_contract(a, b):
+    """BracketingError iff one rule needs at least as many boys and girls as
+    the other; otherwise the root is an exact zero or a sign change to an
+    adjacent float."""
+    if (a[0] - b[0]) * (a[1] - b[1]) >= 0:
+        with pytest.raises(BracketingError):
+            analysis.crossing_probability(a, b, 1e-10)
+        return
+    root = analysis.crossing_probability(a, b, 1e-10)
+    assert 0.0 < root < 1.0
+    at_root = _exact_sign(a, b, root)
+    neighbours = {_exact_sign(a, b, math.nextafter(root, end)) for end in (0.0, 1.0)}
+    assert at_root == 0 or any(s != at_root for s in neighbours)
 
 
 class TestCrossingProbability:
     def test_one_each_versus_two_boys_is_the_golden_ratio(self):
         root = analysis.crossing_probability((1, 1), (2, 0), 1e-10)
         assert abs(root - GOLDEN) <= 1e-9
+        assert root == 0.6180339887498949
 
     def test_symmetric_pair_crosses_at_even_odds(self):
         # F(1,0,p) = 1/p and F(0,1,p) = 1/(1-p) meet at 1/2
@@ -30,8 +60,27 @@ class TestCrossingProbability:
             analysis.crossing_probability(a, b, 1e-10)
 
     def test_exact_tie_on_the_grid_is_a_root(self):
-        # F(2,0) = 2/p and F(0,2) = 2/q meet at 1/2, a scan point
+        # F(2,0) = 2/p and F(0,2) = 2/q meet at 1/2, the first midpoint
         assert analysis.crossing_probability((2, 0), (0, 2), 1e-10) == 0.5
+
+    def test_root_below_one_percent_is_found(self):
+        # F(1,0) = 1/p and F(0,200) = 200/q meet at 1/201
+        root = analysis.crossing_probability((1, 0), (0, 200), 1e-10)
+        assert root == 0.004975124378109453 == 1 / 201
+
+    @pytest.mark.parametrize("a", SMALL_RULES, ids=str)
+    def test_contract_on_every_small_pair(self, a):
+        for b in SMALL_RULES:
+            if b != a:
+                _check_crossing_contract(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(any),
+        st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(any),
+    )
+    def test_contract_on_sampled_pairs(self, a, b):
+        _check_crossing_contract(a, b)
 
     def test_identical_rules_have_no_bracket(self):
         with pytest.raises(BracketingError):
@@ -79,6 +128,13 @@ class TestSweep:
         rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
         assert rows[0].quantities["F(300,0)"] == 3000.0
         assert rows[1].quantities["F(300,0)"] == 600.0
+
+    def test_rule_too_large_for_exact_integers_is_nan(self):
+        rows = analysis.sweep([(10**20, 0), (1, 1)], ["F", "average_share"], 0.3, 0.7, 2, 1e-10)
+        for row in rows:
+            assert math.isnan(row.quantities[f"F({10**20},0)"])
+            assert math.isnan(row.quantities[f"average_share({10**20},0)"])
+            assert math.isfinite(row.quantities["F(1,1)"])
 
     def test_rows_are_monotone_and_aligned(self):
         rows = analysis.sweep([(1, 1), (2, 0)], ["F", "G", "B"], 0.2, 0.8, 13, 1e-8)

@@ -192,6 +192,22 @@ class TestSeriesOverflow:
         assert code == 0
         assert "boys: 1100.0 (tail_bound 0.0, terms 1100)" in out
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["exact", "-n", str(10**20), "-k", "0", "-p", "0.5"],
+            ["share", "-n", str(10**20), "-k", "0", "-p", "0.5"],
+            ["crossing", "--a", f"{10**20},0", "--b", "0,1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_rule_too_large_for_exact_integers_exits_two(self, run_cli, args):
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "too large for exact integers" in err
+
 
 class TestCrossing:
     def test_golden_ratio(self, run_cli):
@@ -285,11 +301,11 @@ class TestGolden:
 
 class TestWarnings:
     def test_library_warnings_are_reported(self, run_cli, monkeypatch):
-        # no real rule pair with n,k <= 7 has more than one crossing
-        message = "2 sign changes found; returning the leftmost root"
+        # no library call warns today; the envelope's channel stays open
+        message = "a library warning"
 
         def warning_crossing(rule_a, rule_b, tol):
-            warnings.warn(message, analysis.MultipleCrossingsWarning)
+            warnings.warn(message, UserWarning)
             return 0.5
 
         monkeypatch.setattr(analysis, "crossing_probability", warning_crossing)
