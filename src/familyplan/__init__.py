@@ -22,7 +22,6 @@ from .core import (
     Rule,
     TruncatedMoments,
     enumerate_brute_force,
-    pmf_support_min,
     stopping_pmf_components,
 )
 from .errors import (
@@ -97,7 +96,6 @@ __all__ = [
     "expected_girls",
     "gender_ratio",
     "mirror",
-    "pmf_support_min",
     "run_simulation",
     "sample_outcomes",
     "shammai_average_share_closed_form",

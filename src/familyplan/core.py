@@ -59,9 +59,6 @@ class Rule:
     def total_required(self) -> int:
         return self.boys_required + self.girls_required
 
-    def is_satisfied(self, boys: int, girls: int) -> bool:
-        return boys >= self.boys_required and girls >= self.girls_required
-
 
 @dataclass(frozen=True)
 class BirthProbability:
@@ -115,11 +112,6 @@ def _require_stoppable(rule: Rule) -> Rule:
             "the (0,0) rule stops before the first birth; expectations over it are undefined"
         )
     return rule
-
-
-def pmf_support_min(rule: Rule | tuple[int, int]) -> int:
-    """Smallest family size the rule can produce."""
-    return _require_stoppable(as_rule(rule)).total_required
 
 
 def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[float, float]]:

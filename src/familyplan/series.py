@@ -64,9 +64,11 @@ def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[i
     n, k = rule.boys_required, rule.girls_required
     a, e, c = _dyadic(prob)
     try:
-        # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)))
+        # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)));
+        # the shift comes first, so a rule too large for it fails before the sums run
+        numerator = (n * c + k * a) << e * (n + k)
         mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
-        numerator = ((n * c + k * a) << e * (n + k)) - a * c * mins
+        numerator -= a * c * mins
     except OverflowError:
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     scale = {"boys": c << e, "girls": a << e, "family_size": a * c}[quantity]

@@ -18,8 +18,8 @@ and canonicalizing turns the ratio-invariance claim into a structural
 equality of polynomials: a proof for that (n, k), not an approximation.
 
 Every function built here has a denominator p^a (1-p)^b, so a
-RationalFunction is stored as N(p) / (p^a (1-p)^b): a numerator
-polynomial N and the exponents (a, b).  Coefficients are int, or
+RationalFunction is both built from and stored as N(p) / (p^a (1-p)^b):
+a numerator polynomial N and the exponents (a, b).  Coefficients are int, or
 Fraction where not integral.  The canonical form cancels the only
 factors N can share with the denominator: while a > 0 and N(0) = 0, N
 loses a factor p; while b > 0 and N(1) = 0, N loses a factor 1-p.  Equal
@@ -62,7 +62,7 @@ class Polynomial:
     Coefficient i multiplies p^i.  Integral coefficients are stored as int,
     the others as Fraction; float and bool coefficients raise DomainError.
     Trailing zeros are stripped on construction, so equality is structural;
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    the zero polynomial has an empty coefficient tuple.
     """
 
     __slots__ = ("coefficients",)
@@ -75,10 +75,6 @@ class Polynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -210,7 +206,7 @@ def format_polynomial(poly: Polynomial) -> str:
 
 
 class RationalFunction:
-    """N(p) / (p^a (1-p)^b), kept in canonical form.
+    """N(p) / (p^a (1-p)^b), built from and kept as N and (a, b) in canonical form.
 
     ``numerator`` is N and ``exponents`` is (a, b).  Canonical means
     N(0) != 0 when a > 0 and N(1) != 0 when b > 0, so N shares no factor
@@ -223,27 +219,17 @@ class RationalFunction:
     def __init__(
         self,
         numerator: Polynomial | Scalar,
-        denominator: Polynomial | Scalar = 1,
+        exponents: tuple[int, int] = (0, 0),
     ) -> None:
-        """numerator / denominator, where the denominator is c p^a (1-p)^b with c != 0."""
-        num = _as_poly(numerator)
-        den = _as_poly(denominator)
-        if den.is_zero():
-            raise DomainError("denominator must not be the zero polynomial")
-        rest, a, b = _divide_out(den.coefficients, den.degree, den.degree)
-        if len(rest) != 1:
-            raise DomainError(f"denominator {den} is not of the form c p^a (1-p)^b")
-        self._assign(num * (1 / Fraction(rest[0])), a, b)
-
-    @classmethod
-    def _reduced(cls, numerator: Polynomial, a: int, b: int) -> "RationalFunction":
-        """numerator / (p^a (1-p)^b), brought to canonical form."""
-        self = object.__new__(cls)
-        self._assign(numerator, a, b)
-        return self
-
-    def _assign(self, numerator: Polynomial, a: int, b: int) -> None:
-        coeffs, da, db = _divide_out(numerator.coefficients, a, b)
+        """numerator / (p^a (1-p)^b) for exponents (a, b), brought to canonical form."""
+        if not (
+            isinstance(exponents, tuple)
+            and len(exponents) == 2
+            and all(type(e) is int and e >= 0 for e in exponents)
+        ):
+            raise DomainError(f"exponents must be a pair of non-negative ints, got {exponents!r}")
+        a, b = exponents
+        coeffs, da, db = _divide_out(_as_poly(numerator).coefficients, a, b)
         object.__setattr__(self, "numerator", Polynomial(coeffs))
         object.__setattr__(self, "exponents", (a - da, b - db))
 
@@ -260,7 +246,7 @@ class RationalFunction:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Polynomial)) and not isinstance(other, bool):
-            other = RationalFunction(_as_poly(other))
+            other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (
@@ -275,17 +261,16 @@ class RationalFunction:
         other = _as_rational(other)
         (a1, b1), (a2, b2) = self.exponents, other.exponents
         a, b = max(a1, a2), max(b1, b2)
-        return RationalFunction._reduced(
+        return RationalFunction(
             self.numerator * _power_product(a - a1, b - b1)
             + other.numerator * _power_product(a - a2, b - b2),
-            a,
-            b,
+            (a, b),
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._reduced(-self.numerator, *self.exponents)
+        return RationalFunction(-self.numerator, self.exponents)
 
     def __sub__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         return self + (-_as_rational(other))
@@ -296,7 +281,7 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = _as_rational(other)
         (a1, b1), (a2, b2) = self.exponents, other.exponents
-        return RationalFunction._reduced(self.numerator * other.numerator, a1 + a2, b1 + b2)
+        return RationalFunction(self.numerator * other.numerator, (a1 + a2, b1 + b2))
 
     __rmul__ = __mul__
 
@@ -306,29 +291,25 @@ class RationalFunction:
             raise PoleError(f"denominator vanishes at p = {x}")
         return self.numerator.evaluate(x) / (x**a * (1 - x) ** b)
 
-    def integer_normalized(self) -> tuple[Polynomial, Polynomial]:
-        """Scale to coprime integer coefficients for display.
+    def __repr__(self) -> str:
+        return f"RationalFunction({self.numerator!r}, {self.exponents!r})"
+
+    def __str__(self) -> str:
+        """Coprime integer coefficients, e.g. ``(p)/(1 - p)``.
 
         The denominator p^a (1-p)^b has coprime integer coefficients and
         lowest-order coefficient 1, so scaling both sides by the lcm of the
-        numerator's coefficient denominators is enough; it reproduces the
-        familiar forms like p/(1 - p).
+        numerator's coefficient denominators is enough.
         """
         scale = lcm(*(c.denominator for c in self.numerator.coefficients))
-        return self.numerator * scale, self.denominator * scale
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
-
-    def __str__(self) -> str:
-        num, den = self.integer_normalized()
+        num, den = self.numerator * scale, self.denominator * scale
         return f"({format_polynomial(num)})/({format_polynomial(den)})"
 
 
 def _as_rational(value: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
-    return RationalFunction(_as_poly(value))
+    return RationalFunction(value)
 
 
 def mirror(f: RationalFunction) -> RationalFunction:
@@ -339,7 +320,7 @@ def mirror(f: RationalFunction) -> RationalFunction:
         *coeffs, value = accumulate(coeffs)
         shifted.append(-value if len(shifted) % 2 else value)
     a, b = f.exponents
-    return RationalFunction._reduced(Polynomial(shifted), b, a)
+    return RationalFunction(Polynomial(shifted), (b, a))
 
 
 def _check_rule_caps(n: int, k: int) -> None:
@@ -362,7 +343,7 @@ def _expected_boys_exact_cached(n: int, k: int) -> RationalFunction:
     for scale, a, b in terms:
         for i in range(b + 1):
             coeffs[a + i] += (-1) ** i * scale * comb(b, i)
-    return RationalFunction._reduced(Polynomial(coeffs), 0, 1)
+    return RationalFunction(Polynomial(coeffs), (0, 1))
 
 
 def expected_boys_exact(n: int, k: int) -> RationalFunction:

@@ -130,10 +130,12 @@ class TestSweep:
         assert rows[1].quantities["F(300,0)"] == 600.0
 
     def test_rule_too_large_for_exact_integers_is_nan(self):
-        rows = analysis.sweep([(10**20, 0), (1, 1)], ["F", "average_share"], 0.3, 0.7, 2, 1e-10)
+        huge = [(10**20, 0), (10**20, 1)]
+        rows = analysis.sweep(huge + [(1, 1)], ["F", "average_share"], 0.3, 0.7, 2, 1e-10)
         for row in rows:
-            assert math.isnan(row.quantities[f"F({10**20},0)"])
-            assert math.isnan(row.quantities[f"average_share({10**20},0)"])
+            for n, k in huge:
+                assert math.isnan(row.quantities[f"F({n},{k})"])
+                assert math.isnan(row.quantities[f"average_share({n},{k})"])
             assert math.isfinite(row.quantities["F(1,1)"])
 
     def test_rows_are_monotone_and_aligned(self):

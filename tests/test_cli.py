@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import familyplan
-from familyplan import analysis, cli, symbolic
+from familyplan import analysis, cli, series, symbolic
 
 # One entry per invocation: argv, exit code, and the exact stdout and stderr.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -198,10 +198,19 @@ class TestSeriesOverflow:
             ["exact", "-n", str(10**20), "-k", "0", "-p", "0.5"],
             ["share", "-n", str(10**20), "-k", "0", "-p", "0.5"],
             ["crossing", "--a", f"{10**20},0", "--b", "0,1"],
+            pytest.param(["exact", "-n", str(10**20), "-k", "1", "-p", "0.5"], id="exact_k1"),
+            pytest.param(["share", "-n", str(10**20), "-k", "1", "-p", "0.5"], id="share_k1"),
+            pytest.param(["crossing", "--a", f"{10**20},1", "--b", "0,1"], id="crossing_k1"),
         ],
         ids=lambda args: args[0],
     )
-    def test_rule_too_large_for_exact_integers_exits_two(self, run_cli, args):
+    def test_rule_too_large_for_exact_integers_exits_two(self, run_cli, monkeypatch, args):
+        # the size check must come before the finite sums, which would loop
+        # some 10^20 times for k >= 1
+        def no_sums(*args):
+            raise AssertionError("finite sum started before the size check")
+
+        monkeypatch.setattr(series, "_horner", no_sums)
         code, out, err = run_cli(args)
         assert code == 2
         assert out == ""

@@ -34,8 +34,6 @@ class TestValidation:
     def test_zero_rule_rejected_by_operations(self):
         zero = core.Rule(0, 0)
         with pytest.raises(DomainError):
-            core.pmf_support_min(zero)
-        with pytest.raises(DomainError):
             core.stopping_pmf_components(zero, 0.5, 3)
         with pytest.raises(DomainError):
             core.enumerate_brute_force(zero, 0.5, 10)
@@ -68,11 +66,11 @@ class TestPmf:
         "rule,expected", [((1, 1), 2), ((2, 0), 2), ((3, 2), 5), ((1, 0), 1), ((0, 1), 1)]
     )
     def test_support_min(self, rule, expected):
-        assert core.pmf_support_min(rule) == expected
+        assert core.Rule(*rule).total_required == expected
 
     @pytest.mark.parametrize("rule", [(1, 1), (3, 2), (2, 0)])
     def test_zero_below_support(self, rule):
-        for t in range(1, core.pmf_support_min(rule)):
+        for t in range(1, core.Rule(*rule).total_required):
             assert pmf(rule, 0.3, t) == 0.0
 
     @pytest.mark.parametrize("rule", RULES_TO_4)
@@ -81,7 +79,7 @@ class TestPmf:
         for p in P_GRID:
             total = math.fsum(
                 pmf(rule, p, t)
-                for t in range(core.pmf_support_min(rule), horizon + 1)
+                for t in range(core.Rule(*rule).total_required, horizon + 1)
             )
             oracle = core.enumerate_brute_force(rule, p, horizon)
             assert total == pytest.approx(oracle.mass_covered, abs=1e-12)
@@ -128,13 +126,12 @@ class TestBruteForce:
 
     def test_outcomes_have_first_satisfaction_structure(self):
         # the closing birth brings its own sex to exactly the required count
-        rule = core.Rule(2, 1)
         for boys, girls, last_is_boy in core._stopped_sequences(2, 1, 12):
             if last_is_boy:
                 assert boys == 2 and girls >= 1
             else:
                 assert girls == 1 and boys >= 2
-            assert rule.is_satisfied(boys, girls)
+            assert boys >= 2 and girls >= 1
 
     def test_outcome_count_matches_direct_walk(self):
         # every stopped leaf is a distinct sequence: cross-check the count
