@@ -141,9 +141,8 @@ def stopping_pmf_components(
 ) -> tuple[float, float]:
     """The (boy-last, girl-last) addends of P(T = total_children).
 
-    This decomposition is what the series and share computations weight
-    term by term.  Each addend is correctly rounded at the float p, however
-    large its binomial coefficient.
+    Each addend is correctly rounded at the float p, however large its
+    binomial coefficient.
     """
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)

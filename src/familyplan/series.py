@@ -69,7 +69,7 @@ def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[i
         numerator = (n * c + k * a) << e * (n + k)
         mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
         numerator -= a * c * mins
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     scale = {"boys": c << e, "girls": a << e, "family_size": a * c}[quantity]
     return numerator, scale << e * (n + k - 1)
@@ -161,7 +161,7 @@ def truncated_moments(
     p: BirthProbability | float,
     max_children: int,
 ) -> TruncatedMoments:
-    """Partial sums of every series, restricted to families with T <= max_children.
+    """The pmf-weighted partial sums of the moments over families with T <= max_children.
 
     Directly comparable with core.enumerate_brute_force over the same horizon.
     """

@@ -117,11 +117,11 @@ def average_share(
     (a, e, c), size = _dyadic(prob), n + k
     try:
         lcm = math.lcm(*range(1, size + 1))
-    except OverflowError:
+        mass_b, rational_b, log_b = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
+        rational_g, log_g = _branch(k, c, a, e, size, lcm)[1:] if k else (0, 0)
+        denominator = lcm * c**n * a**k << e * size
+    except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
-    mass_b, rational_b, log_b = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
-    rational_g, log_g = _branch(k, c, a, e, size, lcm)[1:] if k else (0, 0)
-    denominator = lcm * c**n * a**k << e * size
     rational = a**k * (mass_b - n * rational_b) + k * c**n * rational_g
     u, v = -n * a**k * log_b, k * c**n * log_g
     cancelled = max(abs(u), abs(v)).bit_length() - denominator.bit_length()

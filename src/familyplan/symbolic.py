@@ -19,11 +19,11 @@ equality of polynomials: a proof for that (n, k), not an approximation.
 
 Every function built here has a denominator p^a (1-p)^b, so a
 RationalFunction is both built from and stored as N(p) / (p^a (1-p)^b):
-a numerator polynomial N and the exponents (a, b).  Coefficients are int, or
-Fraction where not integral.  The canonical form cancels the only
-factors N can share with the denominator: while a > 0 and N(0) = 0, N
-loses a factor p; while b > 0 and N(1) = 0, N loses a factor 1-p.  Equal
-functions therefore have equal canonical forms, with no polynomial GCD.
+a numerator polynomial N with int coefficients and the exponents (a, b).
+The canonical form cancels the only factors N can share with the
+denominator: while a > 0 and N(0) = 0, N loses a factor p; while b > 0
+and N(1) = 0, N loses a factor 1-p.  Equal functions therefore have
+equal canonical forms, with no polynomial GCD.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
-from typing import Iterable, Sequence, Union
+from math import comb
+from typing import Iterable, Sequence
 
 from .core import _check_int
 from .errors import DomainError, PoleError
@@ -42,32 +42,26 @@ from .errors import DomainError, PoleError
 # the cap bounds a verify grid, whose work grows as the fourth power of it.
 EXACT_RULE_CAP = 20
 
-Scalar = Union[int, Fraction]
 
-
-def _exact(value: Scalar) -> Scalar:
-    """An int or Fraction coefficient, as int when it is integral."""
-    if type(value) is int:  # the common case; isinstance against Fraction is slow
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise DomainError(
-            f"polynomial coefficients must be int or Fraction, got {type(value).__name__} {value!r}"
-        )
-    return value.numerator if value.denominator == 1 else value
+def _exact(value: int) -> int:
+    """An int coefficient; anything else, bool included, raises DomainError."""
+    if type(value) is not int:
+        raise DomainError(f"polynomial coefficients must be int, got {type(value).__name__} {value!r}")
+    return value
 
 
 class Polynomial:
-    """Dense polynomial in p with exact rational coefficients.
+    """Dense polynomial in p with int coefficients.
 
-    Coefficient i multiplies p^i.  Integral coefficients are stored as int,
-    the others as Fraction; float and bool coefficients raise DomainError.
-    Trailing zeros are stripped on construction, so equality is structural;
-    the zero polynomial has an empty coefficient tuple.
+    Coefficient i multiplies p^i; a coefficient of any other type, Fraction,
+    float and bool included, raises DomainError.  Trailing zeros are
+    stripped on construction, so equality is structural; the zero
+    polynomial has an empty coefficient tuple.
     """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
+    def __init__(self, coefficients: Iterable[int] = ()) -> None:
         coeffs = [_exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -80,7 +74,7 @@ class Polynomial:
         return not self.coefficients
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if type(other) is int:
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -92,7 +86,7 @@ class Polynomial:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
         other = _as_poly(other)
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -104,16 +98,7 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return Polynomial()
@@ -140,10 +125,10 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def _as_poly(value: "Polynomial | Scalar") -> Polynomial:
+def _as_poly(value: "Polynomial | int") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if type(value) is int:
         return Polynomial([value])
     raise DomainError(f"cannot interpret {value!r} as a polynomial")
 
@@ -158,7 +143,7 @@ def _power_product(a: int, b: int) -> Polynomial:
     return Polynomial([0] * a + [(-1) ** j * comb(b, j) for j in range(b + 1)])
 
 
-def _divide_out(coefficients: Sequence[Scalar], a: int, b: int) -> tuple[list[Scalar], int, int]:
+def _divide_out(coefficients: Sequence[int], a: int, b: int) -> tuple[list[int], int, int]:
     """Divide up to a factors p, then up to b factors 1-p, out of a polynomial.
 
     Each loop stops at the first factor that does not divide.  Returns the
@@ -180,11 +165,7 @@ def _divide_out(coefficients: Sequence[Scalar], a: int, b: int) -> tuple[list[Sc
 
 
 def format_polynomial(poly: Polynomial) -> str:
-    """Ascending-power human form, e.g. ``1 - p + p^2``.
-
-    Assumes integer coefficients (callers normalize first); falls back to
-    fraction literals otherwise.
-    """
+    """Ascending-power human form, e.g. ``1 - p + p^2``."""
     if poly.is_zero():
         return "0"
     pieces: list[str] = []
@@ -218,7 +199,7 @@ class RationalFunction:
 
     def __init__(
         self,
-        numerator: Polynomial | Scalar,
+        numerator: Polynomial | int,
         exponents: tuple[int, int] = (0, 0),
     ) -> None:
         """numerator / (p^a (1-p)^b) for exponents (a, b), brought to canonical form."""
@@ -241,11 +222,8 @@ class RationalFunction:
         """p^a (1-p)^b, expanded."""
         return _power_product(*self.exponents)
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)) and not isinstance(other, bool):
+        if type(other) is int or isinstance(other, Polynomial):
             other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -257,7 +235,7 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self.numerator, self.exponents))
 
-    def __add__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
+    def __add__(self, other: "RationalFunction | Polynomial | int") -> "RationalFunction":
         other = _as_rational(other)
         (a1, b1), (a2, b2) = self.exponents, other.exponents
         a, b = max(a1, a2), max(b1, b2)
@@ -269,16 +247,7 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.exponents)
-
-    def __sub__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
-        return _as_rational(other) + (-self)
-
-    def __mul__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
+    def __mul__(self, other: "RationalFunction | Polynomial | int") -> "RationalFunction":
         other = _as_rational(other)
         (a1, b1), (a2, b2) = self.exponents, other.exponents
         return RationalFunction(self.numerator * other.numerator, (a1 + a2, b1 + b2))
@@ -295,18 +264,10 @@ class RationalFunction:
         return f"RationalFunction({self.numerator!r}, {self.exponents!r})"
 
     def __str__(self) -> str:
-        """Coprime integer coefficients, e.g. ``(p)/(1 - p)``.
-
-        The denominator p^a (1-p)^b has coprime integer coefficients and
-        lowest-order coefficient 1, so scaling both sides by the lcm of the
-        numerator's coefficient denominators is enough.
-        """
-        scale = lcm(*(c.denominator for c in self.numerator.coefficients))
-        num, den = self.numerator * scale, self.denominator * scale
-        return f"({format_polynomial(num)})/({format_polynomial(den)})"
+        return f"({format_polynomial(self.numerator)})/({format_polynomial(self.denominator)})"
 
 
-def _as_rational(value: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
+def _as_rational(value: "RationalFunction | Polynomial | int") -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
     return RationalFunction(value)
@@ -374,7 +335,7 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     return RatioCertificate(
         boys_required=n,
         girls_required=k,
-        holds=(lhs - rhs).is_zero(),
+        holds=lhs == rhs,
         lhs=lhs,
         rhs=rhs,
     )
@@ -382,7 +343,7 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
 
 def evaluate_exact(f: RationalFunction, p: Fraction) -> Fraction:
     """Evaluate at an exact rational birth probability in (0,1)."""
-    if isinstance(p, int) or isinstance(p, float) or not isinstance(p, Fraction):
+    if not isinstance(p, Fraction):
         raise DomainError(
             f"p must be an exact Fraction, got {type(p).__name__} {p!r}"
         )

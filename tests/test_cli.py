@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -123,6 +124,23 @@ class TestVerify:
         assert results["all_hold"] is False
         assert [cert["holds"] for cert in results["certificates"]] == [False]
 
+    def test_wrong_boys_function_fails_its_certificates(self, run_cli, monkeypatch):
+        # M + 1 in place of M for (2,1) alone: (2,1) and its mirror rule
+        # (1,2) must fail, and every other rule must still hold
+        real = symbolic._expected_boys_exact_cached
+
+        def wrong(n, k):
+            boys = real(n, k)
+            return symbolic.RationalFunction(boys.numerator + 1, boys.exponents) if (n, k) == (2, 1) else boys
+
+        monkeypatch.setattr(symbolic, "_expected_boys_exact_cached", wrong)
+        rules = [(n, k) for n in range(3) for k in range(3) if n + k]
+        assert [rule for rule in rules if not symbolic.verify_ratio_identity(*rule).holds] == [(1, 2), (2, 1)]
+        code, out, _ = run_cli(["verify", "--max-n", "2", "--max-k", "2"])
+        assert code == 2
+        assert "\n(2,1) FAIL  B = " in out
+        assert "\n(1,2) FAIL  B = " in out
+
     def test_cap_exceeded_names_the_cap(self, run_cli, monkeypatch):
         built = []
         monkeypatch.setattr(symbolic, "verify_ratio_identity", lambda n, k: built.append((n, k)))
@@ -216,6 +234,25 @@ class TestSeriesOverflow:
         assert out == ""
         assert err.startswith("error:")
         assert "too large for exact integers" in err
+
+    @pytest.mark.parametrize("command", ["exact", "share"])
+    def test_rule_too_large_for_memory_exits_two(self, command):
+        # the shift (exact) and the lcm (share) of a 10^12 rule need over
+        # 100 GB, which a 1.5 GB address space turns into a MemoryError
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "familyplan.cli", command, "-n", str(10**12), "-k", "0", "-p", "0.5"],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCrossing:

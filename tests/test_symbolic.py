@@ -12,7 +12,6 @@ from familyplan.symbolic import ONE_MINUS_P, P_VAR, Polynomial, RationalFunction
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(Polynomial)
 # (a, b) of the denominator p^a (1-p)^b
 exponent_pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
-fraction_polys = st.lists(st.fractions(-9, 9, max_denominator=9), max_size=7).map(Polynomial)
 
 
 def taylor_coefficients(f: RationalFunction, count: int) -> list[Fraction]:
@@ -45,19 +44,14 @@ class TestPolynomial:
         assert a + b == b + a
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a - a == Polynomial()
+        assert a + a * -1 == Polynomial()
 
     def test_evaluate(self):
         poly = Polynomial([1, -1, 1])
         assert poly.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
-    def test_integral_coefficients_are_stored_as_int(self):
-        coefficients = Polynomial([Fraction(4, 2), Fraction(1, 3)]).coefficients
-        assert type(coefficients[0]) is int
-        assert coefficients == (2, Fraction(1, 3))
-
-    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
-    def test_float_and_bool_coefficients_rejected(self, bad):
+    @pytest.mark.parametrize("bad", [Fraction(1, 3), Fraction(4, 2), 0.1, 1.0, True])
+    def test_fraction_float_and_bool_coefficients_rejected(self, bad):
         with pytest.raises(DomainError):
             Polynomial([1, bad])
 
@@ -69,10 +63,10 @@ class TestRationalFunction:
             RationalFunction(P_VAR, exponents)
 
     @settings(max_examples=60, deadline=None)
-    @given(num=fraction_polys, exponents=exponent_pairs)
+    @given(num=small_polys, exponents=exponent_pairs)
     def test_repr_evaluates_back_to_an_equal_value(self, num, exponents):
         f = RationalFunction(num, exponents)
-        names = {"RationalFunction": RationalFunction, "Polynomial": Polynomial, "Fraction": Fraction}
+        names = {"RationalFunction": RationalFunction, "Polynomial": Polynomial}
         assert eval(repr(f), names) == f
 
     def test_canonical_form_cancels_p_and_one_minus_p(self):
@@ -80,9 +74,9 @@ class TestRationalFunction:
         f = RationalFunction(Polynomial([0, -1, 1]), (0, 1))
         assert f == RationalFunction(Polynomial([0, -1]))
         assert f.exponents == (0, 0)
-        # (1/3) p^2 (1-p) / (p^3 (1-p)^2) reduces to (1/3) / (p (1-p))
-        g = RationalFunction(_power_product(2, 1) * Fraction(1, 3), (3, 2))
-        assert g.numerator == Polynomial([Fraction(1, 3)])
+        # 3 p^2 (1-p) / (p^3 (1-p)^2) reduces to 3 / (p (1-p))
+        g = RationalFunction(_power_product(2, 1) * 3, (3, 2))
+        assert g.numerator == Polynomial([3])
         assert g.exponents == (1, 1)
         assert g.denominator == P_VAR * ONE_MINUS_P
 
@@ -106,7 +100,7 @@ class TestRationalFunction:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        num=fraction_polys,
+        num=small_polys,
         exponents=exponent_pairs,
         x=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100),
     )
@@ -125,10 +119,8 @@ class TestRationalFunction:
             "(1 - p + p^2)/(1 - p)"
         )
         assert str(RationalFunction(2)) == "(2)/(1)"
-        half = RationalFunction(Polynomial([Fraction(1, 2)]), (1, 0))
-        assert str(half) == "(1)/(2p)"
 
-    @pytest.mark.parametrize("other", [True, 1.5])
+    @pytest.mark.parametrize("other", [True, 1.5, Fraction(1, 2)])
     def test_equality_with_a_non_polynomial_scalar_is_false(self, other):
         assert (RationalFunction(P_VAR) == other) is False
         assert (Polynomial([0, 1]) == other) is False
@@ -141,7 +133,7 @@ def differentiate(f: RationalFunction, order: int) -> RationalFunction:
         num, (a, b) = f.numerator, f.exponents
         slope = Polynomial([i * c for i, c in enumerate(num.coefficients)][1:])
         f = RationalFunction(
-            slope * _power_product(1, 1) - num * ONE_MINUS_P * a + num * P_VAR * b,
+            slope * _power_product(1, 1) + num * ONE_MINUS_P * -a + num * P_VAR * b,
             (a + 1, b + 1),
         )
     return f
@@ -182,17 +174,24 @@ class TestExpectedBoysExact:
             symbolic.expected_boys_exact(symbolic.EXACT_RULE_CAP + 1, 0)
 
 
+def chain_scale(n: int, k: int) -> int:
+    """(n-1)! (k-1)!, a factor taken as 1 when its count is 0: it clears the
+    denominators of the derivative formula's two factorials."""
+    return factorial(max(n - 1, 0)) * factorial(max(k - 1, 0))
+
+
 def derivative_chain_boys(n: int, k: int) -> RationalFunction:
-    """B(n,k) by the paper's derivative formula, one derivative at a time."""
+    """chain_scale(n, k) B(n,k) by the paper's derivative formula, one
+    derivative at a time, in integers."""
     total = n + k - 1
     result = RationalFunction(Polynomial())
     if n >= 1:
         base = RationalFunction(_power_product(0, total), (1, 0))
-        scale = Fraction(n * (-1) ** (n - 1), factorial(n - 1))
+        scale = n * (-1) ** (n - 1) * chain_scale(n, k) // factorial(n - 1)
         result = result + differentiate(base, n - 1) * _power_product(n, 0) * scale
     if k >= 1:
         base = RationalFunction(_power_product(total, 0), (0, 1))
-        scale = Fraction(1, factorial(k - 1))
+        scale = chain_scale(n, k) // factorial(k - 1)
         result = result + differentiate(base, k) * _power_product(1, k) * scale
     return result
 
@@ -203,11 +202,8 @@ def test_leibniz_boys_equal_derivative_chain():
         for k in range(cap + 1):
             if n + k < 1:
                 continue
-            boys = symbolic.expected_boys_exact(n, k)
             chain = derivative_chain_boys(n, k)
-            assert boys.numerator.coefficients == chain.numerator.coefficients, (n, k)
-            assert boys.exponents == chain.exponents, (n, k)
-            assert all(type(c) is int for c in boys.numerator.coefficients), (n, k)
+            assert chain == symbolic.expected_boys_exact(n, k) * chain_scale(n, k), (n, k)
 
 
 class TestRatioIdentity:
