@@ -26,7 +26,17 @@ from .series import (
     gender_ratio,
 )
 
-SWEEP_QUANTITIES = ("F", "G", "B", "ratio", "societal_share", "average_share")
+# Each entry looks its function up when called, so rebinding a module
+# attribute (as a tracer does) reaches the sweep.
+_QUANTITIES = {
+    "F": lambda rule, prob, tol: expected_family_size(rule, prob, tol).value,
+    "G": lambda rule, prob, tol: expected_girls(rule, prob, tol).value,
+    "B": lambda rule, prob, tol: expected_boys(rule, prob, tol).value,
+    "ratio": lambda rule, prob, tol: gender_ratio(rule, prob, tol),
+    "societal_share": lambda rule, prob, tol: share_mod.societal_share(rule, prob, tol),
+    "average_share": lambda rule, prob, tol: share_mod.average_share(rule, prob, tol).value,
+}
+SWEEP_QUANTITIES = tuple(_QUANTITIES)
 
 
 @dataclass(frozen=True)
@@ -80,31 +90,6 @@ def crossing_probability(
         low, high = (mid, high) if s_mid == s_low else (low, mid)
 
 
-def _quantity_value(
-    kind: str,
-    rule: Rule,
-    prob: BirthProbability,
-    tol: float,
-) -> float:
-    if kind == "F":
-        return expected_family_size(rule, prob, tol).value
-    if kind == "G":
-        return expected_girls(rule, prob, tol).value
-    if kind == "B":
-        return expected_boys(rule, prob, tol).value
-    if kind == "ratio":
-        return gender_ratio(rule, prob, tol)
-    if kind == "societal_share":
-        return share_mod.societal_share(rule, prob, tol)
-    if kind == "average_share":
-        return share_mod.average_share(rule, prob, tol).value
-    raise DomainError(f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}")
-
-
-def quantity_label(kind: str, rule: Rule) -> str:
-    return f"{kind}({rule.boys_required},{rule.girls_required})"
-
-
 def sweep(
     rules: list[Rule | tuple[int, int]],
     quantities: list[str],
@@ -146,10 +131,10 @@ def sweep(
         for kind in quantities:
             for rule in parsed_rules:
                 try:
-                    value = _quantity_value(kind, rule, prob, tol)
+                    value = _QUANTITIES[kind](rule, prob, tol)
                 except NumericError:
                     value = math.nan
-                cells[quantity_label(kind, rule)] = value
+                cells[f"{kind}({rule.boys_required},{rule.girls_required})"] = value
         rows.append(SweepRow(p=p, quantities=cells))
     return rows
 

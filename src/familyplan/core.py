@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import fsum
 from typing import Iterable, Iterator
 
 from .errors import DomainError
 
 # Enumeration is exponential in the worst case; the cap keeps 2^max_children
-# walks tractable unless a caller deliberately raises it.
+# walks tractable.
 BRUTE_FORCE_CAP = 24
 
 
@@ -92,10 +91,13 @@ def _dyadic(prob: BirthProbability) -> tuple[int, int, int]:
 
 
 def as_rule(rule: Rule | tuple[int, int]) -> Rule:
-    """Coerce a (n, k) pair into a Rule."""
+    """Coerce a (n, k) pair into a Rule; anything else is a DomainError."""
     if isinstance(rule, Rule):
         return rule
-    n, k = rule
+    try:
+        n, k = rule
+    except (TypeError, ValueError):
+        raise DomainError(f"a rule is a Rule or a pair (n, k), got {rule!r}") from None
     return Rule(n, k)
 
 
@@ -209,8 +211,7 @@ def _outcome_moments(
     return TruncatedMoments(fsum(mass), *map(fsum, weighted))
 
 
-@lru_cache(maxsize=16)
-def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool], ...]:
+def _stopped_sequences(n: int, k: int, limit: int) -> list[tuple[int, int, bool]]:
     """All birth sequences of length <= limit, pruned at first satisfaction.
 
     Returns one (boys, girls, last_is_boy) triple per stopped sequence.  The
@@ -233,14 +234,13 @@ def _stopped_sequences(n: int, k: int, limit: int) -> tuple[tuple[int, int, bool
             walk(boys, girls + 1)
 
     walk(0, 0)
-    return tuple(leaves)
+    return leaves
 
 
 def enumerate_brute_force(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     max_children: int,
-    cap: int = BRUTE_FORCE_CAP,
 ) -> TruncatedMoments:
     """Probability-weighted statistics over all families with T <= max_children.
 
@@ -251,10 +251,9 @@ def enumerate_brute_force(
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
-    if max_children > cap:
+    if max_children > BRUTE_FORCE_CAP:
         raise DomainError(
-            f"max_children={max_children} exceeds the enumeration cap of {cap}; "
-            "raise cap= explicitly if the walk is known to stay tractable"
+            f"max_children={max_children} exceeds the enumeration cap of {BRUTE_FORCE_CAP}"
         )
 
     pp, q = prob.p, prob.q

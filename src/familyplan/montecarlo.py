@@ -53,7 +53,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Per-family birth limit; hitting it means p is numerically degenerate.
-DEFAULT_BIRTH_CAP = 10_000_000
+BIRTH_CAP = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -105,8 +105,7 @@ class FamilyStream:
     __slots__ = ("_state", "_draws")
 
     def __init__(self, seed: int, index: int) -> None:
-        if index < 0:
-            raise DomainError(f"family index must be >= 0, got {index}")
+        index = _check_int("family index", index, 0)
         self._state = _mix64(_check_seed(seed) + (index + 1) * _GAMMA)
         self._draws = 0
 
@@ -153,12 +152,12 @@ class SimulationSummary:
         return asdict(self)
 
 
-def _check_birth_cap(rule: Rule, birth_cap: int) -> None:
-    """Raise BirthCapError at once if no family can stop within birth_cap births."""
-    if rule.total_required > birth_cap:
+def _check_cap(rule: Rule) -> None:
+    """Raise BirthCapError at once if no family can stop within BIRTH_CAP births."""
+    if rule.total_required > BIRTH_CAP:
         raise BirthCapError(
             f"rule ({rule.boys_required},{rule.girls_required}) needs at least "
-            f"{rule.total_required} births per family, above the cap of {birth_cap}"
+            f"{rule.total_required} births per family, above the cap of {BIRTH_CAP}"
         )
 
 
@@ -166,20 +165,19 @@ def simulate_family(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     random_source: RandomSource,
-    birth_cap: int = DEFAULT_BIRTH_CAP,
 ) -> FamilyOutcome:
     """Draw births (boy iff u < p) until the rule is first satisfied."""
     rule = _require_stoppable(as_rule(rule))
     prob = as_probability(p)
-    _check_birth_cap(rule, birth_cap)
+    _check_cap(rule)
     n, k = rule.boys_required, rule.girls_required
 
     boys = 0
     girls = 0
     while boys < n or girls < k:
-        if boys + girls >= birth_cap:
+        if boys + girls >= BIRTH_CAP:
             raise BirthCapError(
-                f"family exceeded {birth_cap} births; p={prob.p!r} is numerically degenerate"
+                f"family exceeded {BIRTH_CAP} births; p={prob.p!r} is numerically degenerate"
             )
         if random_source.random() < prob.p:
             boys += 1
@@ -204,7 +202,6 @@ def _sample_blocks(
     p: BirthProbability | float,
     samples: int,
     seed: int,
-    birth_cap: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per-family int32 (boys, girls) arrays, one pair per block of family indices.
 
@@ -220,7 +217,7 @@ def _sample_blocks(
     prob = as_probability(p)
     _check_int("samples", samples, 1)
     seed = _check_seed(seed)
-    _check_birth_cap(rule, birth_cap)
+    _check_cap(rule)
 
     n, k = rule.boys_required, rule.girls_required
     shortest = n + k  # no family stops before its (n+k)-th birth
@@ -240,9 +237,9 @@ def _sample_blocks(
         girls = np.empty(count, dtype=np.int32)
         draws = stopped = 0
         while key.size:
-            if draws >= birth_cap:
+            if draws >= BIRTH_CAP:
                 raise BirthCapError(
-                    f"family exceeded {birth_cap} births; p={prob.p!r} is numerically degenerate"
+                    f"family exceeded {BIRTH_CAP} births; p={prob.p!r} is numerically degenerate"
                 )
             width = _BLOCK_SIZE // key.size
             if width < _TAIL_WIDTH:
@@ -256,7 +253,7 @@ def _sample_blocks(
                 births, stop_excess = draws, excess.take(hit)
             else:
                 # `width` births per family in one (families, width) step
-                width = min(width, birth_cap - draws)
+                width = min(width, BIRTH_CAP - draws)
                 run = np.arange(draws + 1, draws + width + 1)  # their birth numbers
                 word = _mix64_array(key[:, None] + run.astype(np.uint64) * gamma)
                 running = np.cumsum(word < threshold, axis=1, dtype=np.uint32)
@@ -295,12 +292,11 @@ def sample_outcomes(
     p: BirthProbability | float,
     samples: int,
     seed: int,
-    birth_cap: int = DEFAULT_BIRTH_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-family (boys, girls, total) arrays for family indices 0..samples-1."""
     import numpy as np
 
-    blocks = _sample_blocks(rule, p, samples, seed, birth_cap)
+    blocks = _sample_blocks(rule, p, samples, seed)
     boys, girls = (np.concatenate(arrays, dtype=np.int64) for arrays in zip(*blocks))
     return boys, girls, boys + girls
 
@@ -310,7 +306,6 @@ def run_simulation(
     p: BirthProbability | float,
     samples: int,
     seed: int,
-    birth_cap: int = DEFAULT_BIRTH_CAP,
 ) -> SimulationSummary:
     """Simulate independent families and aggregate all estimators.
 
@@ -326,7 +321,7 @@ def run_simulation(
     # A stopped family has exactly n boys or exactly k girls, so its excess
     # (boys - n) - (girls - k) identifies its outcome.
     table: Counter[int] = Counter()
-    for boys, girls in _sample_blocks(rule, prob, samples, seed, birth_cap):
+    for boys, girls in _sample_blocks(rule, prob, samples, seed):
         excess = (boys - n) - (girls - k)
         low = int(excess.min())
         counts = np.bincount(excess - low)

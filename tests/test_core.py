@@ -1,14 +1,30 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import core
+from familyplan import analysis, core, montecarlo, series, share
 from familyplan.errors import DomainError
 
 RULES_TO_4 = [(n, k) for n in range(5) for k in range(5) if n + k >= 1]
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+# public entries across the layers that take a rule, called with the rule under test
+RULE_TAKERS = {
+    "expected_boys": lambda rule: series.expected_boys(rule, 0.5, 1e-10),
+    "average_share": lambda rule: share.average_share(rule, 0.5, 1e-10),
+    "societal_share": lambda rule: share.societal_share(rule, 0.5, 1e-10),
+    "crossing_first": lambda rule: analysis.crossing_probability(rule, (1, 1), 1e-10),
+    "crossing_second": lambda rule: analysis.crossing_probability((1, 1), rule, 1e-10),
+    "sweep": lambda rule: analysis.sweep([rule], ["F"], 0.1, 0.9, 2, 1e-10),
+    "run_simulation": lambda rule: montecarlo.run_simulation(rule, 0.5, 10, 0),
+    "truncated_moments": lambda rule: series.truncated_moments(rule, 0.5, 10),
+    "enumerate_brute_force": lambda rule: core.enumerate_brute_force(rule, 0.5, 10),
+    "stopping_pmf_components": lambda rule: core.stopping_pmf_components(rule, 0.5, 3),
+}
 
 
 def pmf(rule, p, t):
@@ -41,6 +57,12 @@ class TestValidation:
     def test_pmf_rejects_zero_children(self):
         with pytest.raises(DomainError):
             core.stopping_pmf_components((1, 1), 0.5, 0)
+
+    @pytest.mark.parametrize("rule", [5, (1, 2, 3), (1,), None])
+    @pytest.mark.parametrize("entry", RULE_TAKERS)
+    def test_malformed_rule_is_a_domain_error(self, entry, rule):
+        with pytest.raises(DomainError, match="a rule is a Rule or a pair"):
+            RULE_TAKERS[entry](rule)
 
 
 class TestPmf:
@@ -120,9 +142,23 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             core.enumerate_brute_force((1, 1), 0.5, core.BRUTE_FORCE_CAP + 1)
 
-    def test_explicit_cap_raise_allows_deeper_walks(self):
-        result = core.enumerate_brute_force((2, 1), 0.5, 30, cap=30)
+    def test_raised_cap_allows_deeper_walks(self, monkeypatch):
+        monkeypatch.setattr(core, "BRUTE_FORCE_CAP", 30)
+        result = core.enumerate_brute_force((2, 1), 0.5, 30)
         assert result.mass_covered > 1.0 - 1e-7
+
+    def test_walk_keeps_nothing_once_it_returns(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            core.enumerate_brute_force((6, 6), 0.5, 20)
+            # the recursive walk closure refers to itself, so only the
+            # collector frees it
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
     def test_outcomes_have_first_satisfaction_structure(self):
         # the closing birth brings its own sex to exactly the required count

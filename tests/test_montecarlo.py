@@ -17,9 +17,9 @@ from familyplan.errors import BirthCapError, DomainError
 # allowance for series truncation when a band is otherwise zero-width
 TRUNC = 1e-9
 
-# (rule, p, samples, seed, birth_cap) cases with the summary and a digest of
-# the per-family arrays, or the BirthCapError message, that the
-# one-birth-per-pass sampler produced for them
+# (rule, p, samples, seed) cases, each run under its birth_cap, with the
+# summary and a digest of the per-family arrays, or the BirthCapError
+# message, that the one-birth-per-pass sampler produced for them
 SAMPLER_GOLDEN = json.loads(Path(__file__).with_name("montecarlo_golden.json").read_text())
 
 
@@ -64,17 +64,19 @@ class TestSimulateFamily:
         with pytest.raises(DomainError):
             mc.simulate_family((0, 0), 0.5, mc.FamilyStream(0, 0))
 
-    def test_birth_cap_reported(self):
+    def test_birth_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(mc, "BIRTH_CAP", 50)
         with pytest.raises(BirthCapError):
-            mc.simulate_family((1, 0), 1e-12, mc.FamilyStream(0, 0), birth_cap=50)
+            mc.simulate_family((1, 0), 1e-12, mc.FamilyStream(0, 0))
 
-    def test_rule_longer_than_the_birth_cap_draws_nothing(self):
+    def test_rule_longer_than_the_birth_cap_draws_nothing(self, monkeypatch):
         class NoDraws:
             def random(self):
                 raise AssertionError("drew a birth for a rule that cannot stop")
 
+        monkeypatch.setattr(mc, "BIRTH_CAP", 50)
         with pytest.raises(BirthCapError):
-            mc.simulate_family((51, 0), 0.5, NoDraws(), birth_cap=50)
+            mc.simulate_family((51, 0), 0.5, NoDraws())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,9 +128,15 @@ class TestSubstreams:
         u1 = [mc.FamilyStream(0, 1).random() for _ in range(1)]
         assert u0 != u1
 
-    def test_vector_birth_cap(self):
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_family_index_must_be_a_nonnegative_integer(self, index):
+        with pytest.raises(DomainError):
+            mc.FamilyStream(0, index)
+
+    def test_vector_birth_cap(self, monkeypatch):
+        monkeypatch.setattr(mc, "BIRTH_CAP", 50)
         with pytest.raises(BirthCapError):
-            mc.sample_outcomes((1, 0), 1e-12, 10, 0, birth_cap=50)
+            mc.sample_outcomes((1, 0), 1e-12, 10, 0)
 
     def test_rule_longer_than_the_birth_cap_mixes_nothing(self, monkeypatch):
         # no family can stop before its (n+k)-th birth, so no block is drawn
@@ -136,8 +144,9 @@ class TestSubstreams:
             raise AssertionError("mixed a block for a rule that cannot stop")
 
         monkeypatch.setattr(mc, "_mix64_array", no_mixing)
+        monkeypatch.setattr(mc, "BIRTH_CAP", 50)
         with pytest.raises(BirthCapError):
-            mc.run_simulation((51, 0), 0.5, 10, 0, birth_cap=50)
+            mc.run_simulation((51, 0), 0.5, 10, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -152,23 +161,23 @@ class TestSubstreams:
         # 1 << 16 every step draws a run of births per family
         if n + k < 1:
             n = 1
-        cap = 1000
         expected = []
-        for index in range(samples):
-            try:
-                outcome = mc.simulate_family((n, k), p, mc.FamilyStream(seed, index), cap)
-            except BirthCapError:
-                expected = None
-                break
-            expected.append((outcome.boys, outcome.girls, outcome.total))
-        for block_size in (64, 1024, 1 << 16):
-            with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "BIRTH_CAP", 1000)
+            for index in range(samples):
+                try:
+                    outcome = mc.simulate_family((n, k), p, mc.FamilyStream(seed, index))
+                except BirthCapError:
+                    expected = None
+                    break
+                expected.append((outcome.boys, outcome.girls, outcome.total))
+            for block_size in (64, 1024, 1 << 16):
                 patch.setattr(mc, "_BLOCK_SIZE", block_size)
                 if expected is None:
                     with pytest.raises(BirthCapError):
-                        mc.sample_outcomes((n, k), p, samples, seed, cap)
+                        mc.sample_outcomes((n, k), p, samples, seed)
                 else:
-                    arrays = mc.sample_outcomes((n, k), p, samples, seed, cap)
+                    arrays = mc.sample_outcomes((n, k), p, samples, seed)
                     assert list(zip(*(a.tolist() for a in arrays))) == expected
 
     @pytest.mark.parametrize("block_size", [1, 1 << 16])
@@ -180,10 +189,12 @@ class TestSubstreams:
             mc.simulate_family(rule, p, mc.FamilyStream(seed, index)).total
             for index in range(samples)
         )
-        totals = mc.sample_outcomes(rule, p, samples, seed, birth_cap=longest)[2]
+        monkeypatch.setattr(mc, "BIRTH_CAP", longest)
+        totals = mc.sample_outcomes(rule, p, samples, seed)[2]
         assert totals.max() == longest
+        monkeypatch.setattr(mc, "BIRTH_CAP", longest - 1)
         with pytest.raises(BirthCapError):
-            mc.sample_outcomes(rule, p, samples, seed, birth_cap=longest - 1)
+            mc.sample_outcomes(rule, p, samples, seed)
 
     @pytest.mark.parametrize("p", [0.5, 0.1, 5e-324, 1.0 - 2.0**-53])
     def test_integer_threshold_matches_the_float_compare(self, p):
@@ -202,8 +213,9 @@ class TestSubstreams:
     @pytest.mark.parametrize(
         "case", SAMPLER_GOLDEN, ids=[f"case{i}" for i in range(len(SAMPLER_GOLDEN))]
     )
-    def test_outputs_are_pinned(self, case):
-        args = (tuple(case["rule"]), case["p"], case["samples"], case["seed"], case["birth_cap"])
+    def test_outputs_are_pinned(self, monkeypatch, case):
+        monkeypatch.setattr(mc, "BIRTH_CAP", case["birth_cap"])
+        args = (tuple(case["rule"]), case["p"], case["samples"], case["seed"])
         expected = case["expected"]
         if "error" in expected:
             for sample in (mc.run_simulation, mc.sample_outcomes):

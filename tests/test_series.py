@@ -24,9 +24,10 @@ class TestExpectedBoys:
     def test_two_boys_rule_is_constant_two(self, p):
         assert series.expected_boys((2, 0), p, 1e-12).value == pytest.approx(2.0, abs=1e-10)
 
-    def test_matches_brute_force_within_mass_deficit(self):
+    def test_matches_brute_force_within_mass_deficit(self, monkeypatch):
         rule, p, horizon = (2, 1), 0.5, 40
-        oracle = core.enumerate_brute_force(rule, p, horizon, cap=horizon)
+        monkeypatch.setattr(core, "BRUTE_FORCE_CAP", horizon)
+        oracle = core.enumerate_brute_force(rule, p, horizon)
         boys = series.expected_boys(rule, p, 1e-13)
         size = series.expected_family_size(rule, p, 1e-13)
         truncated = series.truncated_moments(rule, p, horizon)
