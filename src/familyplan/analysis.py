@@ -58,9 +58,10 @@ def crossing_probability(
     the two Wald fractions of F, and returns the first midpoint where it is
     0, or else a midpoint once the ends are adjacent floats; tol is checked
     but unused.  The sign keeps one value on (0, 1), and BracketingError is
-    raised, iff one rule needs at least as many boys and girls as the other;
-    otherwise it goes like (n_a - n_b)/p near 0 and (k_a - k_b)/q near 1,
-    so the extreme floats 2^-1074 and 1 - 2^-53 bracket a root.
+    raised, iff one rule needs at least as many boys and girls as the other,
+    i.e. iff (n_a - n_b)(k_a - k_b) >= 0; otherwise it goes like
+    (n_a - n_b)/p near 0 and (k_a - k_b)/q near 1, so the rule counts give
+    the sign at the low end without evaluating it.
     """
     rule_a = _require_stoppable(as_rule(rule_a))
     rule_b = _require_stoppable(as_rule(rule_b))
@@ -74,11 +75,12 @@ def crossing_probability(
         cross = num_a * den_b - num_b * den_a
         return (cross > 0) - (cross < 0)
 
-    s_low = sign(math.ulp(0.0))
-    if s_low * sign(1.0 - 2.0**-53) >= 0:
+    boys = rule_a.boys_required - rule_b.boys_required
+    if boys * (rule_a.girls_required - rule_b.girls_required) >= 0:
         raise BracketingError(
             f"family sizes of {rule_a} and {rule_b} never change order on (0, 1)"
         )
+    s_low = (boys > 0) - (boys < 0)
     low, high = 0.0, 1.0
     while True:
         mid = 0.5 * (low + high)

@@ -16,7 +16,11 @@ u(i, j) < p iff mix64(key(i) + (j+1) * GAMMA) < ceil(p * 2^53) << 11,
 exactly, because scaling by 2^53 is exact.  Once few families of a block
 are unstopped it draws a run of births per family in one step and
 discards the births drawn after a family's stopping birth, so each
-outcome still depends only on its own family's stream.
+outcome still depends only on its own family's stream.  Each call of the
+batched path allocates its working arrays once and every step writes its
+draws, tests and running counts into them with ``out=``; the same ufuncs
+run on the same words as with fresh arrays, so reusing them cannot change
+an output.
 
 The scalar path (``FamilyStream`` + ``simulate_family``) and the batched
 numpy path (``sample_outcomes`` and ``run_simulation``) evaluate the same
@@ -79,15 +83,18 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """mix64 of every word of x, computed in place in x."""
+def _mix64_array(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 of every word of x, computed in place in x; tmp is scratch of x's shape."""
     import numpy as np
 
-    x ^= x >> np.uint64(30)
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
     return x
 
 
@@ -210,6 +217,17 @@ def _sample_blocks(
     many families of a block are unstopped, a step draws one birth for
     each; once few are, a step draws a run of births for each and
     discards those after a family's stopping birth.
+
+    Each call allocates its scratch once: _BLOCK_SIZE words for the drawn
+    births and for the mix's shifted copy, two bool arrays for the boy and
+    stop tests, a uint32 array for the running boy counts, and two arrays
+    each of keys, positions and excesses, which compaction gathers into
+    alternately.  Every step writes its per-birth arrays into views of
+    these, so none allocates a (families, births) array; it still
+    allocates one row of birth numbers and the indices of the families
+    that stopped.  The ufuncs and their operands are those of fresh
+    arrays, so no output can change.  Only the yielded (boys, girls)
+    arrays are new for each block, because callers keep them.
     """
     import numpy as np
 
@@ -223,16 +241,29 @@ def _sample_blocks(
     shortest = n + k  # no family stops before its (n+k)-th birth
     threshold = np.uint64(_boy_threshold(prob.p))
     gamma = np.uint64(_GAMMA)
+    words, mixed = (np.empty(_BLOCK_SIZE, dtype=np.uint64) for _ in range(2))
+    boy, stop = (np.empty(_BLOCK_SIZE, dtype=np.bool_) for _ in range(2))
+    counts = np.empty(_BLOCK_SIZE, dtype=np.uint32)
+    size = min(samples, _BLOCK_SIZE)
+    positions = np.arange(size, dtype=np.int32)
+    keys = [np.empty(size, dtype=np.uint64) for _ in range(2)]
+    wheres = [np.empty(size, dtype=np.int32) for _ in range(2)]
+    excesses = [np.empty(size, dtype=np.uint32) for _ in range(2)]
     for start in range(0, samples, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, samples - start)
         # Per family still drawing: its stream key, its block position (-1
         # once stopped), and boys - n modulo 2^32.  After `draws` births
         # that excess is at most draws - n - k exactly when
         # n <= boys <= draws - k, i.e. when the family has stopped.
-        key = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        key = _mix64_array(key * gamma + np.uint64(seed))
-        where = np.arange(count, dtype=np.int32)
-        excess = np.full(count, -n % 2**32, dtype=np.uint32)
+        key, where, excess = keys[0][:count], wheres[0][:count], excesses[0][:count]
+        key[:] = positions[:count]
+        key += np.uint64(start + 1)
+        key *= gamma
+        key += np.uint64(seed)
+        _mix64_array(key, mixed[:count])
+        where[:] = positions[:count]
+        excess.fill(-n % 2**32)
+        half = 0  # which of each pair of arrays holds the live families
         boys = np.empty(count, dtype=np.int32)
         girls = np.empty(count, dtype=np.int32)
         draws = stopped = 0
@@ -241,32 +272,35 @@ def _sample_blocks(
                 raise BirthCapError(
                     f"family exceeded {BIRTH_CAP} births; p={prob.p!r} is numerically degenerate"
                 )
-            width = _BLOCK_SIZE // key.size
+            live = key.size
+            width = _BLOCK_SIZE // live
             if width < _TAIL_WIDTH:
                 draws += 1
-                word = _mix64_array(key + np.uint64((draws * _GAMMA) & _MASK64))
-                excess += word < threshold
-                del word
+                word = np.add(key, np.uint64((draws * _GAMMA) & _MASK64), out=words[:live])
+                _mix64_array(word, mixed[:live])
+                excess += np.less(word, threshold, out=boy[:live])
                 if draws < shortest:
                     continue
-                hit = np.flatnonzero(excess <= draws - shortest)
+                hit = np.flatnonzero(np.less_equal(excess, draws - shortest, out=stop[:live]))
                 births, stop_excess = draws, excess.take(hit)
             else:
                 # `width` births per family in one (families, width) step
                 width = min(width, BIRTH_CAP - draws)
+                shape, used = (live, width), live * width
                 run = np.arange(draws + 1, draws + width + 1)  # their birth numbers
-                word = _mix64_array(key[:, None] + run.astype(np.uint64) * gamma)
-                running = np.cumsum(word < threshold, axis=1, dtype=np.uint32)
-                del word
+                word = words[:used].reshape(shape)
+                np.add(key[:, None], run.astype(np.uint64) * gamma, out=word)
+                _mix64_array(word, mixed[:used].reshape(shape))
+                is_boy = np.less(word, threshold, out=boy[:used].reshape(shape))
+                running = counts[:used].reshape(shape)
+                np.cumsum(is_boy, axis=1, dtype=np.uint32, out=running)
                 running += excess[:, None]
-                excess = running[:, -1].copy()
+                excess[:] = running[:, -1]
                 # compared as int64, so no excess passes a negative limit
-                done = running <= run - shortest
+                done = np.less_equal(running, run - shortest, out=stop[:used].reshape(shape))
                 hit = np.flatnonzero(done[:, -1])
                 column = done.take(hit, axis=0).argmax(axis=1)  # first stopping birth
-                del done
                 births, stop_excess = run.take(column), running[hit, column]
-                del running
                 draws += width
             at = where.take(hit)
             boys[at] = stop_excess + n
@@ -277,12 +311,18 @@ def _sample_blocks(
             excess[hit] = _STOPPED
             where[hit] = -1
             stopped += hit.size
-            if stopped * 4 < key.size:
+            if stopped * 4 < live:
                 continue
             # index arrays, not boolean masks: a mask over a random half
             # of the families gathers about 5x slower
-            live = np.flatnonzero(where >= 0)
-            key, where, excess = key.take(live), where.take(live), excess.take(live)
+            kept = np.flatnonzero(np.greater_equal(where, 0, out=boy[:live]))
+            # gathered into the other half of each pair; mode="clip" (the
+            # indices are in range) lets take write straight into `out`
+            half ^= 1
+            key, where, excess = (
+                np.take(values, kept, out=pair[half][: kept.size], mode="clip")
+                for values, pair in ((key, keys), (where, wheres), (excess, excesses))
+            )
             stopped = 0
         yield boys, girls
 

@@ -68,6 +68,20 @@ class TestCrossingProbability:
         root = analysis.crossing_probability((1, 0), (0, 200), 1e-10)
         assert root == 0.004975124378109453 == 1 / 201
 
+    def test_bracket_comes_from_the_rule_counts(self, monkeypatch):
+        # the sign near 0 is that of n_a - n_b, so the extreme floats, which
+        # cost most of a large pair's run, are never evaluated
+        evaluated = []
+        wald_fraction = series._wald_fraction
+
+        def recording(rule, prob, kind):
+            evaluated.append(prob.p)
+            return wald_fraction(rule, prob, kind)
+
+        monkeypatch.setattr(analysis, "_wald_fraction", recording)
+        assert analysis.crossing_probability((3000, 1), (1, 3000), 1e-10) == 0.5
+        assert evaluated == [0.5, 0.5]
+
     @pytest.mark.parametrize("a", SMALL_RULES, ids=str)
     def test_contract_on_every_small_pair(self, a):
         for b in SMALL_RULES:

@@ -218,7 +218,7 @@ class TestSeriesOverflow:
             ["crossing", "--a", f"{10**20},0", "--b", "0,1"],
             pytest.param(["exact", "-n", str(10**20), "-k", "1", "-p", "0.5"], id="exact_k1"),
             pytest.param(["share", "-n", str(10**20), "-k", "1", "-p", "0.5"], id="share_k1"),
-            pytest.param(["crossing", "--a", f"{10**20},1", "--b", "0,1"], id="crossing_k1"),
+            pytest.param(["crossing", "--a", f"{10**20},1", "--b", "0,2"], id="crossing_k1"),
         ],
         ids=lambda args: args[0],
     )
@@ -274,6 +274,19 @@ class TestCrossing:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    def test_dominated_huge_rule_exits_two_without_exact_sums(self, run_cli, monkeypatch):
+        # (10^20,1) needs more boys and as many girls as (0,1): the rule
+        # counts rule out a crossing before any Wald fraction is built
+        def no_fractions(*args):
+            raise AssertionError("a Wald fraction was built for a pair that never crosses")
+
+        monkeypatch.setattr(analysis, "_wald_fraction", no_fractions)
+        code, out, err = run_cli(["crossing", "--a", f"{10**20},1", "--b", "0,1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "never change order" in err
 
     def test_tolerance_below_float_spacing_exits_zero(self, run_cli):
         code, out, _ = run_cli(["crossing", "--a", "1,1", "--b", "2,0", "--tol", "1e-300"])

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import random
+import resource
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -140,7 +142,7 @@ class TestSubstreams:
 
     def test_rule_longer_than_the_birth_cap_mixes_nothing(self, monkeypatch):
         # no family can stop before its (n+k)-th birth, so no block is drawn
-        def no_mixing(x):
+        def no_mixing(x, tmp):
             raise AssertionError("mixed a block for a rule that cannot stop")
 
         monkeypatch.setattr(mc, "_mix64_array", no_mixing)
@@ -205,10 +207,44 @@ class TestSubstreams:
         for x in words:
             assert ((x >> 11) * 2.0**-53 < p) == (x < threshold)
 
+    def test_scratch_mix_matches_the_scalar_mix(self):
+        rng = random.Random(16)
+        words = [0, 2**64 - 1] + [(i * mc._GAMMA) & mc._MASK64 for i in range(1, 65)]
+        words += [rng.getrandbits(64) for _ in range(1000)]
+        x = np.array(words, dtype=np.uint64)
+        mixed = mc._mix64_array(x, np.empty_like(x))
+        assert mixed is x
+        assert x.tolist() == [mc._mix64(word) for word in words]
+
+    def test_each_block_yields_fresh_arrays(self, monkeypatch):
+        # the sampler reuses its scratch across blocks, but not the arrays
+        # it yields: sample_outcomes concatenates them after the last block
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 64)
+        rule, p, seed = (2, 1), 0.37, 23
+        blocks = list(mc._sample_blocks(rule, p, 200, seed))
+        assert len(blocks) == 4
+        arrays = [array for pair in blocks for array in pair]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )
+        boys, girls = (np.concatenate(column) for column in zip(*blocks))
+        for index in range(200):
+            outcome = mc.simulate_family(rule, p, mc.FamilyStream(seed, index))
+            assert (outcome.boys, outcome.girls) == (boys[index], girls[index])
+
     def test_default_birth_cap_ends_a_degenerate_input(self):
         # about 1e12 births per family; the cap is reached in seconds
         with pytest.raises(BirthCapError):
             mc.run_simulation((1, 0), 1e-12, 10, 0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+    def test_steps_fault_in_no_fresh_pages(self):
+        # about 1500 steps of (10, 6553) words each; a step that allocated
+        # its words afresh faulted in some 250 pages (over 380,000 in all)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with pytest.raises(BirthCapError):
+            mc.run_simulation((1, 0), 1e-12, 10, 0)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10_000
 
     @pytest.mark.parametrize(
         "case", SAMPLER_GOLDEN, ids=[f"case{i}" for i in range(len(SAMPLER_GOLDEN))]
