@@ -49,10 +49,8 @@ from .series import (
     truncated_moments,
 )
 from .share import (
-    ShareReport,
     average_share,
     shammai_average_share_closed_form,
-    share_report,
     societal_share,
 )
 from .symbolic import (
@@ -81,7 +79,6 @@ __all__ = [
     "RationalFunction",
     "Rule",
     "SeriesResult",
-    "ShareReport",
     "SimulationSummary",
     "SweepRow",
     "TruncatedMoments",
@@ -99,7 +96,6 @@ __all__ = [
     "run_simulation",
     "sample_outcomes",
     "shammai_average_share_closed_form",
-    "share_report",
     "simulate_family",
     "societal_share",
     "stopping_pmf_components",

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import share as share_mod
-from .core import BirthProbability, Rule, _check_int, _require_stoppable, as_probability, as_rule
+from .core import BirthProbability, Rule, _check_int, as_probability, as_rule
 from .errors import BracketingError, DomainError, NumericError
 from .series import (
     _check_tolerance,
@@ -63,8 +63,7 @@ def crossing_probability(
     (n_a - n_b)/p near 0 and (k_a - k_b)/q near 1, so the rule counts give
     the sign at the low end without evaluating it.
     """
-    rule_a = _require_stoppable(as_rule(rule_a))
-    rule_b = _require_stoppable(as_rule(rule_b))
+    rule_a, rule_b = as_rule(rule_a), as_rule(rule_b)
     _check_tolerance(tol)
 
     def sign(p: float) -> int:
@@ -75,12 +74,12 @@ def crossing_probability(
         cross = num_a * den_b - num_b * den_a
         return (cross > 0) - (cross < 0)
 
-    boys = rule_a.boys_required - rule_b.boys_required
-    if boys * (rule_a.girls_required - rule_b.girls_required) >= 0:
+    (n_a, k_a), (n_b, k_b) = astuple(rule_a), astuple(rule_b)
+    if (n_a - n_b) * (k_a - k_b) >= 0:
         raise BracketingError(
-            f"family sizes of {rule_a} and {rule_b} never change order on (0, 1)"
+            f"family sizes of rules ({n_a},{k_a}) and ({n_b},{k_b}) never change order on (0, 1)"
         )
-    s_low = (boys > 0) - (boys < 0)
+    s_low = (n_a > n_b) - (n_a < n_b)
     low, high = 0.0, 1.0
     while True:
         mid = 0.5 * (low + high)

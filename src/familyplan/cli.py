@@ -86,6 +86,8 @@ def _cmd_simulate(args: argparse.Namespace) -> _Record:
 def _cmd_verify(args: argparse.Namespace) -> _Record:
     if args.max_n < 0 or args.max_k < 0:
         raise DomainError("--max-n and --max-k must be >= 0")
+    if args.max_n + args.max_k < 1:
+        raise DomainError("--max-n 0 --max-k 0 holds only the (0,0) rule, which has no certificate")
     if max(args.max_n, args.max_k) > symbolic.EXACT_RULE_CAP:
         raise DomainError(f"--max-n or --max-k exceeds the exact-arithmetic cap of {symbolic.EXACT_RULE_CAP}")
     certificates = []

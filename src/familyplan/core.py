@@ -91,14 +91,19 @@ def _dyadic(prob: BirthProbability) -> tuple[int, int, int]:
 
 
 def as_rule(rule: Rule | tuple[int, int]) -> Rule:
-    """Coerce a (n, k) pair into a Rule; anything else is a DomainError."""
-    if isinstance(rule, Rule):
-        return rule
-    try:
-        n, k = rule
-    except (TypeError, ValueError):
-        raise DomainError(f"a rule is a Rule or a pair (n, k), got {rule!r}") from None
-    return Rule(n, k)
+    """Coerce a (n, k) pair into a Rule; anything else, and the (0,0) rule,
+    is a DomainError."""
+    if not isinstance(rule, Rule):
+        try:
+            n, k = rule
+        except (TypeError, ValueError):
+            raise DomainError(f"a rule is a Rule or a pair (n, k), got {rule!r}") from None
+        rule = Rule(n, k)
+    if rule.total_required < 1:
+        raise DomainError(
+            "the (0,0) rule stops before the first birth; expectations over it are undefined"
+        )
+    return rule
 
 
 def as_probability(p: BirthProbability | float) -> BirthProbability:
@@ -106,14 +111,6 @@ def as_probability(p: BirthProbability | float) -> BirthProbability:
     if isinstance(p, BirthProbability):
         return p
     return BirthProbability(p)
-
-
-def _require_stoppable(rule: Rule) -> Rule:
-    if rule.total_required < 1:
-        raise DomainError(
-            "the (0,0) rule stops before the first birth; expectations over it are undefined"
-        )
-    return rule
 
 
 def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[float, float]]:
@@ -146,7 +143,7 @@ def stopping_pmf_components(
     Each addend is correctly rounded at the float p, however large its
     binomial coefficient.
     """
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("total_children", total_children, 1)
     if total_children < rule.total_required:
@@ -248,7 +245,7 @@ def enumerate_brute_force(
     expectations here come straight from the sample space with no series
     algebra involved.
     """
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
     if max_children > BRUTE_FORCE_CAP:

@@ -47,11 +47,10 @@ from .core import (
     _check_int,
     _family_statistics,
     _outcome_moments,
-    _require_stoppable,
     as_probability,
     as_rule,
 )
-from .errors import BirthCapError, DomainError
+from .errors import BirthCapError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,10 +130,6 @@ class FamilyOutcome:
     martingale_terminal: float
     girl_share: float
 
-    def __post_init__(self) -> None:
-        if self.boys + self.girls != self.total or self.total < 1:
-            raise DomainError("boys + girls must equal total >= 1")
-
 
 @dataclass(frozen=True)
 class SimulationSummary:
@@ -174,7 +169,7 @@ def simulate_family(
     random_source: RandomSource,
 ) -> FamilyOutcome:
     """Draw births (boy iff u < p) until the rule is first satisfied."""
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_cap(rule)
     n, k = rule.boys_required, rule.girls_required
@@ -231,7 +226,7 @@ def _sample_blocks(
     """
     import numpy as np
 
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("samples", samples, 1)
     seed = _check_seed(seed)

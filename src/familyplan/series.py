@@ -20,11 +20,9 @@ from math import comb
 
 from .core import (
     BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _outcome_moments, _pmf_addends,
-    _require_stoppable, as_probability, as_rule,
+    as_probability, as_rule,
 )
 from .errors import DomainError, NumericError
-
-CLOSED_FORM_QUANTITIES = ("F_H", "F_S", "G_H", "G_S", "B_H", "B_S")
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,9 @@ class SeriesResult:
     tail_bound: float
     terms_used: int
 
-    def __post_init__(self) -> None:
-        if self.terms_used < 1:
-            raise DomainError("terms_used must be >= 1")
-        if self.tail_bound < 0.0:
-            raise DomainError("tail_bound must be >= 0")
-
 
 def _check_tolerance(tol: float) -> float:
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be a positive real, got {tol!r}")
     return float(tol)
 
@@ -82,7 +74,7 @@ def _wald_sum(
     quantity: str,
 ) -> SeriesResult:
     """_wald_fraction, rounded once."""
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
     numerator, denominator = _wald_fraction(rule, prob, quantity)
@@ -152,7 +144,7 @@ def closed_form(quantity: str, p: BirthProbability | float) -> float:
     if quantity == "B_S":
         return 2.0
     raise DomainError(
-        f"unknown quantity {quantity!r}; expected one of {CLOSED_FORM_QUANTITIES}"
+        f"unknown quantity {quantity!r}; expected one of ('F_H', 'F_S', 'G_H', 'G_S', 'B_H', 'B_S')"
     )
 
 
@@ -165,7 +157,7 @@ def truncated_moments(
 
     Directly comparable with core.enumerate_brute_force over the same horizon.
     """
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
 

@@ -15,9 +15,8 @@ perceives as asymmetry even though the population-level ratio is fair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import BirthProbability, Rule, _dyadic, _require_stoppable, as_probability, as_rule
+from .core import BirthProbability, Rule, _dyadic, as_probability, as_rule
 from .errors import NumericError
 from .series import SeriesResult, _check_tolerance
 
@@ -27,15 +26,6 @@ _GUARD_BITS = 64
 _ZIV_ROUNDS = 8
 
 
-@dataclass(frozen=True)
-class ShareReport:
-    """Societal and per-family-average girl shares, and their difference."""
-
-    societal_share: float
-    average_share: float
-    gap: float
-
-
 def societal_share(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
@@ -43,7 +33,7 @@ def societal_share(
 ) -> float:
     """E[girls] / E[T] = 1-p for every rule, as E[G] = q E[T] (Wald); tol is
     checked but unused."""
-    _require_stoppable(as_rule(rule))
+    as_rule(rule)
     _check_tolerance(tol)
     return as_probability(p).q
 
@@ -110,7 +100,7 @@ def average_share(
     is raised until both ends of their error interval round to one float
     (Ziv's strategy).  That ends, as the value is transcendental (Baker)
     unless u ln p + v ln q = 0: at a float p, only n = k at 1/2, value 1/2."""
-    rule = _require_stoppable(as_rule(rule))
+    rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
     n, k = rule.boys_required, rule.girls_required
@@ -144,17 +134,3 @@ def shammai_average_share_closed_form(p: BirthProbability | float) -> float:
     odds = prob.p / prob.q
     return 1.0 - 2.0 * odds * (1.0 + odds * math.log(prob.p))
 
-
-def share_report(
-    rule: Rule | tuple[int, int],
-    p: BirthProbability | float,
-    tol: float,
-) -> ShareReport:
-    """Bundle societal share, average share, and their gap."""
-    societal = societal_share(rule, p, tol)
-    average = average_share(rule, p, tol)
-    return ShareReport(
-        societal_share=societal,
-        average_share=average.value,
-        gap=societal - average.value,
-    )

@@ -109,6 +109,10 @@ class TestCrossingProbability:
         with pytest.raises(DomainError):
             analysis.crossing_probability((1, 1), (2, 0), -1e-10)
 
+    def test_no_crossing_names_the_rules_as_pairs(self):
+        with pytest.raises(BracketingError, match=r"^family sizes of rules \(7,0\) and \(7,1\) never"):
+            analysis.crossing_probability(Rule(7, 0), (7, 1), 1e-10)
+
 
 class TestSweep:
     def test_anchor_values_at_even_odds(self):
@@ -190,6 +194,11 @@ class TestSweep:
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
             analysis.sweep(tol=1e-10, **kwargs)
+
+    def test_zero_rule_is_refused_while_parsing_the_rules(self):
+        # before the quantities are checked, so the unknown "X" is never reported
+        with pytest.raises(DomainError, match=r"the \(0,0\) rule"):
+            analysis.sweep([(1, 1), (0, 0)], ["X"], 0.1, 0.9, 3, 1e-10)
 
 
 class TestCsv:

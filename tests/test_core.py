@@ -14,16 +14,34 @@ P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 # public entries across the layers that take a rule, called with the rule under test
 RULE_TAKERS = {
+    "as_rule": core.as_rule,
     "expected_boys": lambda rule: series.expected_boys(rule, 0.5, 1e-10),
+    "expected_girls": lambda rule: series.expected_girls(rule, 0.5, 1e-10),
+    "expected_family_size": lambda rule: series.expected_family_size(rule, 0.5, 1e-10),
+    "gender_ratio": lambda rule: series.gender_ratio(rule, 0.5, 1e-10),
     "average_share": lambda rule: share.average_share(rule, 0.5, 1e-10),
     "societal_share": lambda rule: share.societal_share(rule, 0.5, 1e-10),
     "crossing_first": lambda rule: analysis.crossing_probability(rule, (1, 1), 1e-10),
     "crossing_second": lambda rule: analysis.crossing_probability((1, 1), rule, 1e-10),
     "sweep": lambda rule: analysis.sweep([rule], ["F"], 0.1, 0.9, 2, 1e-10),
     "run_simulation": lambda rule: montecarlo.run_simulation(rule, 0.5, 10, 0),
+    "sample_outcomes": lambda rule: montecarlo.sample_outcomes(rule, 0.5, 10, 0),
+    "simulate_family": lambda rule: montecarlo.simulate_family(rule, 0.5, montecarlo.FamilyStream(0, 0)),
     "truncated_moments": lambda rule: series.truncated_moments(rule, 0.5, 10),
     "enumerate_brute_force": lambda rule: core.enumerate_brute_force(rule, 0.5, 10),
     "stopping_pmf_components": lambda rule: core.stopping_pmf_components(rule, 0.5, 3),
+}
+
+# public entries that take a tolerance, called with the tolerance under test
+TOL_TAKERS = {
+    "expected_boys": lambda tol: series.expected_boys((1, 1), 0.5, tol),
+    "expected_girls": lambda tol: series.expected_girls((1, 1), 0.5, tol),
+    "expected_family_size": lambda tol: series.expected_family_size((1, 1), 0.5, tol),
+    "gender_ratio": lambda tol: series.gender_ratio((1, 1), 0.5, tol),
+    "societal_share": lambda tol: share.societal_share((1, 1), 0.5, tol),
+    "average_share": lambda tol: share.average_share((1, 1), 0.5, tol),
+    "crossing_probability": lambda tol: analysis.crossing_probability((1, 1), (2, 0), tol),
+    "sweep": lambda tol: analysis.sweep([(1, 1)], ["F"], 0.1, 0.9, 2, tol),
 }
 
 
@@ -58,11 +76,22 @@ class TestValidation:
         with pytest.raises(DomainError):
             core.stopping_pmf_components((1, 1), 0.5, 0)
 
-    @pytest.mark.parametrize("rule", [5, (1, 2, 3), (1,), None])
+    @pytest.mark.parametrize(
+        "rule,message",
+        [(rule, "a rule is a Rule or a pair") for rule in (5, (1, 2, 3), (1,), None)]
+        + [(rule, r"the \(0,0\) rule stops before the first birth") for rule in ((0, 0), core.Rule(0, 0))],
+    )
     @pytest.mark.parametrize("entry", RULE_TAKERS)
-    def test_malformed_rule_is_a_domain_error(self, entry, rule):
-        with pytest.raises(DomainError, match="a rule is a Rule or a pair"):
+    def test_malformed_rule_is_a_domain_error(self, entry, rule, message):
+        with pytest.raises(DomainError, match=message):
             RULE_TAKERS[entry](rule)
+
+    @pytest.mark.parametrize("tol", [True, False])
+    @pytest.mark.parametrize("entry", TOL_TAKERS)
+    def test_boolean_tolerance_is_a_domain_error(self, entry, tol):
+        # a bool is an int to Python, but no numeric input takes one
+        with pytest.raises(DomainError, match="tol must be a positive real"):
+            TOL_TAKERS[entry](tol)
 
 
 class TestPmf:
