@@ -29,7 +29,6 @@ from .errors import (
     BracketingError,
     DomainError,
     NumericError,
-    PoleError,
 )
 from .montecarlo import (
     FamilyOutcome,
@@ -73,7 +72,6 @@ __all__ = [
     "FamilyOutcome",
     "FamilyStream",
     "NumericError",
-    "PoleError",
     "Polynomial",
     "RatioCertificate",
     "RationalFunction",

@@ -117,6 +117,8 @@ def sweep(
                 f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}"
             )
     _check_int("steps", steps, 2)
+    if any(not isinstance(end, (int, float)) or isinstance(end, bool) for end in (p_start, p_end)):
+        raise DomainError(f"the grid ends must be real numbers, got [{p_start!r}, {p_end!r}]")
     if not (0.0 < p_start < p_end < 1.0):
         raise DomainError(
             f"the grid must satisfy 0 < p_start < p_end < 1, got [{p_start}, {p_end}]"

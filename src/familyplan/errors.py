@@ -20,7 +20,3 @@ class BirthCapError(NumericError):
 
 class BracketingError(NumericError):
     """Root search found no sign change on (0, 1)."""
-
-
-class PoleError(NumericError):
-    """Rational function evaluated at a pole of its denominator."""

@@ -10,12 +10,12 @@ rule expands both derivatives: with N = n+k-1 and q = 1-p, B = M/q, where
 
     M = n sum_{j<n} C(N,j) p^j q^(N+1-j) + k sum_{j<=min(k,N)} C(N,j) p^(N+1-j) q^j
 
-has integer coefficients and degree at most N+1.  Building both sides of
+has integer coefficients and degree at most N+1.  So the ratio identity
 
     (1-p) B(n,k,p)  =  p B(k,n,1-p)
 
-and canonicalizing turns the ratio-invariance claim into a structural
-equality of polynomials: a proof for that (n, k), not an approximation.
+is the polynomial equality M(n,k)(p) = M(k,n)(1-p), and equal canonical
+forms of its two sides are a proof for that (n, k), not an approximation.
 
 Every function built here has a denominator p^a (1-p)^b, so a
 RationalFunction is both built from and stored as N(p) / (p^a (1-p)^b):
@@ -24,6 +24,7 @@ The canonical form cancels the only factors N can share with the
 denominator: while a > 0 and N(0) = 0, N loses a factor p; while b > 0
 and N(1) = 0, N loses a factor 1-p.  Equal functions therefore have
 equal canonical forms, with no polynomial GCD.
+``evaluate_exact`` is the one evaluator.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .core import _check_int
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 # B = M/(1-p), M the integer Leibniz expansion, takes O((n+k)^2) operations;
 # the cap bounds a verify grid, whose work grows as the fourth power of it.
@@ -131,11 +132,6 @@ def _as_poly(value: "Polynomial | int") -> Polynomial:
     if type(value) is int:
         return Polynomial([value])
     raise DomainError(f"cannot interpret {value!r} as a polynomial")
-
-
-#: p and 1 - p, the two factors of the ratio identity.
-P_VAR = Polynomial([0, 1])
-ONE_MINUS_P = Polynomial([1, -1])
 
 
 def _power_product(a: int, b: int) -> Polynomial:
@@ -254,12 +250,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        a, b = self.exponents
-        if (a and x == 0) or (b and x == 1):
-            raise PoleError(f"denominator vanishes at p = {x}")
-        return self.numerator.evaluate(x) / (x**a * (1 - x) ** b)
-
     def __repr__(self) -> str:
         return f"RationalFunction({self.numerator!r}, {self.exponents!r})"
 
@@ -273,8 +263,9 @@ def _as_rational(value: "RationalFunction | Polynomial | int") -> RationalFuncti
     return RationalFunction(value)
 
 
-def mirror(f: RationalFunction) -> RationalFunction:
+def mirror(f: "RationalFunction | Polynomial | int") -> RationalFunction:
     """Substitute p -> 1-p: N(1-p) / ((1-p)^a p^b), N(1-p) by an integer Taylor shift."""
+    f = _as_rational(f)
     # dividing by p - 1 leaves the next coefficient of N(1+x) as the remainder
     coeffs, shifted = f.numerator.coefficients[::-1], []
     while coeffs:
@@ -296,7 +287,7 @@ def _check_rule_caps(n: int, k: int) -> None:
 
 
 @lru_cache(maxsize=512)
-def _expected_boys_exact_cached(n: int, k: int) -> RationalFunction:
+def _leibniz_numerator(n: int, k: int) -> Polynomial:
     total = n + k - 1
     terms = [(n * comb(total, j), j, total + 1 - j) for j in range(n)]
     terms += [(k * comb(total, j), total + 1 - j, j) for j in range(min(k, total) + 1)]
@@ -304,13 +295,13 @@ def _expected_boys_exact_cached(n: int, k: int) -> RationalFunction:
     for scale, a, b in terms:
         for i in range(b + 1):
             coeffs[a + i] += (-1) ** i * scale * comb(b, i)
-    return RationalFunction(Polynomial(coeffs), (0, 1))
+    return Polynomial(coeffs)
 
 
 def expected_boys_exact(n: int, k: int) -> RationalFunction:
     """B(n,k,p) as an exact rational function on (0,1)."""
     _check_rule_caps(n, k)
-    return _expected_boys_exact_cached(n, k)
+    return RationalFunction(_leibniz_numerator(n, k), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -325,13 +316,14 @@ class RatioCertificate:
 
 
 def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
-    """Certify (1-p) B(n,k,p) = p B(k,n,1-p) as an exact polynomial identity.
+    """Certify (1-p) B(n,k,p) = p B(k,n,1-p) as M(n,k)(p) = M(k,n)(1-p).
 
     Because both sides are canonical, holds=True is a proof that the rule's
     gender ratio equals the birth odds everywhere on (0,1).
     """
-    lhs = expected_boys_exact(n, k) * RationalFunction(ONE_MINUS_P)
-    rhs = mirror(expected_boys_exact(k, n)) * RationalFunction(P_VAR)
+    _check_rule_caps(n, k)
+    lhs = RationalFunction(_leibniz_numerator(n, k))
+    rhs = mirror(RationalFunction(_leibniz_numerator(k, n)))
     return RatioCertificate(
         boys_required=n,
         girls_required=k,
@@ -341,12 +333,14 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     )
 
 
-def evaluate_exact(f: RationalFunction, p: Fraction) -> Fraction:
+def evaluate_exact(f: "RationalFunction | Polynomial | int", p: Fraction) -> Fraction:
     """Evaluate at an exact rational birth probability in (0,1)."""
+    f = _as_rational(f)
     if not isinstance(p, Fraction):
         raise DomainError(
             f"p must be an exact Fraction, got {type(p).__name__} {p!r}"
         )
     if not Fraction(0) < p < Fraction(1):
         raise DomainError(f"p must lie strictly in (0, 1), got {p}")
-    return f.evaluate(p)
+    a, b = f.exponents
+    return f.numerator.evaluate(p) / (p**a * (1 - p) ** b)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,14 @@ class TestSweep:
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
             analysis.sweep(tol=1e-10, **kwargs)
+
+    @pytest.mark.parametrize("bad", ["0.1", None, True, Fraction(1, 10)])
+    @pytest.mark.parametrize("end", ["p_start", "p_end"])
+    def test_grid_end_that_is_not_a_real_number_is_a_domain_error(self, end, bad):
+        # checked before the ends are compared, which would raise a bare TypeError
+        ends = {"p_start": 0.1, "p_end": 0.9, end: bad}
+        with pytest.raises(DomainError, match="real numbers"):
+            analysis.sweep([(1, 1)], ["F"], steps=3, tol=1e-10, **ends)
 
     def test_zero_rule_is_refused_while_parsing_the_rules(self):
         # before the quantities are checked, so the unknown "X" is never reported

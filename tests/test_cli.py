@@ -127,13 +127,12 @@ class TestVerify:
     def test_wrong_boys_function_fails_its_certificates(self, run_cli, monkeypatch):
         # M + 1 in place of M for (2,1) alone: (2,1) and its mirror rule
         # (1,2) must fail, and every other rule must still hold
-        real = symbolic._expected_boys_exact_cached
+        real = symbolic._leibniz_numerator
 
         def wrong(n, k):
-            boys = real(n, k)
-            return symbolic.RationalFunction(boys.numerator + 1, boys.exponents) if (n, k) == (2, 1) else boys
+            return real(n, k) + 1 if (n, k) == (2, 1) else real(n, k)
 
-        monkeypatch.setattr(symbolic, "_expected_boys_exact_cached", wrong)
+        monkeypatch.setattr(symbolic, "_leibniz_numerator", wrong)
         rules = [(n, k) for n in range(3) for k in range(3) if n + k]
         assert [rule for rule in rules if not symbolic.verify_ratio_identity(*rule).holds] == [(1, 2), (2, 1)]
         code, out, _ = run_cli(["verify", "--max-n", "2", "--max-k", "2"])
@@ -151,12 +150,18 @@ class TestVerify:
             assert "20" in err
         assert built == []  # rejected before any certificate is built
 
-    def test_twelve_by_twelve_json_is_pinned(self, run_cli):
-        code, out, _ = run_cli(["verify", "--max-n", "12", "--max-k", "12", "--json"])
+    @pytest.mark.parametrize(
+        "cap, digest",
+        [
+            ("12", "093cca4fb2c4811bf0288e636c256060c134ccb583d2bb119adc2852a1623b57"),
+            ("20", "235068daec27d989c157662ccd59011f909f12a0755e22ea24a76e35f808801f"),
+        ],
+        ids=["12x12", "20x20"],
+    )
+    def test_verify_json_is_pinned(self, run_cli, cap, digest):
+        code, out, _ = run_cli(["verify", "--max-n", cap, "--max-k", cap, "--json"])
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "093cca4fb2c4811bf0288e636c256060c134ccb583d2bb119adc2852a1623b57"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestShare:

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from familyplan import series, symbolic
-from familyplan.errors import DomainError, PoleError
-from familyplan.symbolic import ONE_MINUS_P, P_VAR, Polynomial, RationalFunction, _power_product
+from familyplan.errors import DomainError
+from familyplan.symbolic import Polynomial, RationalFunction, _power_product
+
+# p and 1 - p
+P_VAR = Polynomial([0, 1])
+ONE_MINUS_P = Polynomial([1, -1])
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(Polynomial)
 # (a, b) of the denominator p^a (1-p)^b
@@ -87,7 +91,7 @@ class TestRationalFunction:
         twice = RationalFunction(once.numerator, once.exponents)
         assert once == twice
         x = Fraction(1, 3)
-        assert once.evaluate(x) == num.evaluate(x) / _power_product(*exponents).evaluate(x)
+        assert symbolic.evaluate_exact(once, x) == num.evaluate(x) / _power_product(*exponents).evaluate(x)
         a, b = once.exponents
         assert a == 0 or once.numerator.evaluate(Fraction(0)) != 0
         assert b == 0 or once.numerator.evaluate(Fraction(1)) != 0
@@ -106,7 +110,11 @@ class TestRationalFunction:
     )
     def test_mirror_substitutes_one_minus_p(self, num, exponents, x):
         f = RationalFunction(num, exponents)
-        assert symbolic.mirror(f).evaluate(x) == f.evaluate(1 - x)
+        assert symbolic.evaluate_exact(symbolic.mirror(f), x) == symbolic.evaluate_exact(f, 1 - x)
+
+    def test_mirror_of_a_non_function_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            symbolic.mirror("x")
 
     def test_mirror_anchors(self):
         odds = RationalFunction(P_VAR, (0, 1))
@@ -221,9 +229,25 @@ class TestRatioIdentity:
                     continue
                 assert symbolic.verify_ratio_identity(n, k).holds is True, (n, k)
 
-    def test_rejects_zero_rule(self):
+    def test_sides_equal_the_multiplied_boys_functions(self):
+        # the certificate compares M(n,k)(p) with M(k,n)(1-p); multiplying B
+        # by 1-p and the mirrored B by p must give the same two sides
+        cap = symbolic.EXACT_RULE_CAP
+        for n in range(cap + 1):
+            for k in range(cap + 1):
+                if n + k < 1:
+                    continue
+                cert = symbolic.verify_ratio_identity(n, k)
+                assert cert.lhs == symbolic.expected_boys_exact(n, k) * ONE_MINUS_P, (n, k)
+                assert cert.rhs == symbolic.mirror(symbolic.expected_boys_exact(k, n)) * P_VAR, (n, k)
+
+    @pytest.mark.parametrize("rule", [(0, 0), (21, 0), (0, 21), (True, 1), (-1, 2)])
+    def test_rejects_a_rule_before_building_it(self, rule, monkeypatch):
+        built = []
+        monkeypatch.setattr(symbolic, "_leibniz_numerator", lambda n, k: built.append((n, k)))
         with pytest.raises(DomainError):
-            symbolic.verify_ratio_identity(0, 0)
+            symbolic.verify_ratio_identity(*rule)
+        assert built == []
 
 
 class TestEvaluateExact:
@@ -235,18 +259,18 @@ class TestEvaluateExact:
         odds = RationalFunction(P_VAR, (0, 1))
         assert symbolic.evaluate_exact(odds, Fraction(1, 2)) == 1
 
-    def test_pole_reported_distinctly_from_domain(self):
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(3, 2), 0.5])
+    def test_poles_and_points_outside_the_domain_are_domain_errors(self, p):
         f = RationalFunction(Polynomial([1]), (1, 1))
-        with pytest.raises(PoleError):
-            f.evaluate(Fraction(0))
-        with pytest.raises(PoleError):
-            f.evaluate(Fraction(1))
         with pytest.raises(DomainError):
-            symbolic.evaluate_exact(f, Fraction(0))
+            symbolic.evaluate_exact(f, p)
+
+    def test_polynomial_is_evaluated_as_a_function(self):
+        assert symbolic.evaluate_exact(Polynomial([1, 1]), Fraction(1, 2)) == Fraction(3, 2)
+
+    def test_non_function_is_a_domain_error(self):
         with pytest.raises(DomainError):
-            symbolic.evaluate_exact(f, Fraction(3, 2))
-        with pytest.raises(DomainError):
-            symbolic.evaluate_exact(f, 0.5)
+            symbolic.evaluate_exact(None, Fraction(1, 2))
 
     def test_exact_value_matches_series_for_a_larger_rule(self):
         boys_exact = symbolic.expected_boys_exact(3, 2)
