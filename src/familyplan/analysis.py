@@ -68,10 +68,8 @@ def crossing_probability(
 
     def sign(p: float) -> int:
         prob = BirthProbability(p)
-        (num_a, den_a), (num_b, den_b) = (
-            _wald_fraction(rule, prob, "family_size") for rule in (rule_a, rule_b)
-        )
-        cross = num_a * den_b - num_b * den_a
+        (num_a, dens_a), (num_b, dens_b) = (_wald_fraction(rule, prob) for rule in (rule_a, rule_b))
+        cross = num_a * dens_b["family_size"] - num_b * dens_a["family_size"]
         return (cross > 0) - (cross < 0)
 
     (n_a, k_a), (n_b, k_b) = astuple(rule_a), astuple(rule_b)

@@ -64,9 +64,7 @@ def _rule_and_probability(args: argparse.Namespace) -> tuple[Rule, BirthProbabil
 
 def _cmd_exact(args: argparse.Namespace) -> _Record:
     rule, prob, inputs = _rule_and_probability(args)
-    boys = series.expected_boys(rule, prob, args.tol)
-    girls = series.expected_girls(rule, prob, args.tol)
-    size = series.expected_family_size(rule, prob, args.tol)
+    boys, girls, size = series._wald_sum(rule, prob, args.tol, "boys", "girls", "family_size")
     results = {
         "boys": asdict(boys),
         "girls": asdict(girls),

@@ -13,25 +13,23 @@ finalizer (xors/multiplies by 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).
 All arithmetic is modulo 2^64.  Birth j of family i is a boy iff
 u(i, j) < p.  The batched path makes the same test on the 64-bit word:
 u(i, j) < p iff mix64(key(i) + (j+1) * GAMMA) < ceil(p * 2^53) << 11,
-exactly, because scaling by 2^53 is exact.  Once few families of a block
-are unstopped it draws a run of births per family in one step and
-discards the births drawn after a family's stopping birth, so each
-outcome still depends only on its own family's stream.  Each call of the
-batched path allocates its working arrays once and every step writes its
-draws, tests and running counts into them with ``out=``; the same ufuncs
-run on the same words as with fresh arrays, so reusing them cannot change
-an output.
+exactly, because scaling by 2^53 is exact.
 
 The scalar path (``FamilyStream`` + ``simulate_family``) and the batched
 numpy path (``sample_outcomes`` and ``run_simulation``) evaluate the same
 function and agree bit for bit.  numpy is imported on the first batched
 call, not with the package, so the other methods start without it.
 
-``run_simulation`` keeps no per-family arrays: each block of families is
-reduced to a count per distinct (boys, girls) outcome, blocks merge by
-adding counts, and every summary field is an fsum over the merged table.
-So the summary does not depend on the block size, and memory does not
-grow with the number of samples.
+The batched path is one sampling loop, ``_stop_events``.  It draws a block
+of families at a time, one birth per unstopped family per step, or a run
+of births per family once few are unstopped, discarding those drawn after
+a family's stopping birth; so each outcome depends only on its own
+family's stream.  It yields stop events: which families stopped at a step,
+after how many births, with how many boys.  ``run_simulation`` counts each
+event straight into a table of distinct outcomes, and every summary field
+is an fsum over that table, so the summary does not depend on the block
+size and memory does not grow with the number of samples.  Only
+``sample_outcomes`` maps events to family indices.
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ _BLOCK_SIZE = 1 << 16
 # Fewest births per family worth a multi-birth step; below it each step
 # draws one birth per unstopped family.
 _TAIL_WIDTH = 64
-# Excess of a family that stopped: far above any birth count, so it never
-# passes the stop test again (see _sample_blocks).
+# Excess of a family that stopped: as uint32 above any birth count, so it
+# never passes the stop test again; as int32 below -n, unlike a live one.
 _STOPPED = 1 << 31
 
 
@@ -199,35 +197,21 @@ def _boy_threshold(p: float) -> int:
     return ceil(p * 2.0**53) << 11
 
 
-def _sample_blocks(
-    rule: Rule | tuple[int, int],
-    p: BirthProbability | float,
-    samples: int,
-    seed: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per-family int32 (boys, girls) arrays, one pair per block of family indices.
+def _stop_events(rule: Rule, prob: BirthProbability, samples: int, seed: int) -> Iterator[tuple]:
+    """The sampling loop, as events; _BLOCK_SIZE never changes the results.
 
-    Batched evaluation of the same per-family streams as FamilyStream;
-    _BLOCK_SIZE only controls working memory, never the results.  While
-    many families of a block are unstopped, a step draws one birth for
-    each; once few are, a step draws a run of births for each and
-    discards those after a family's stopping birth.
+    ("block", start, stop): families start..stop-1 are live 0..stop-start-1.
+    ("stop", hit, births, excess): the live families hit stopped after
+        `births` births (an int on a one-birth step, an array on a run step)
+        with boys - n = excess.
+    ("kept", kept): the live families kept are now live 0..kept.size-1.
 
-    Each call allocates its scratch once: _BLOCK_SIZE words for the drawn
-    births and for the mix's shifted copy, two bool arrays for the boy and
-    stop tests, a uint32 array for the running boy counts, and two arrays
-    each of keys, positions and excesses, which compaction gathers into
-    alternately.  Every step writes its per-birth arrays into views of
-    these, so none allocates a (families, births) array; it still
-    allocates one row of birth numbers and the indices of the families
-    that stopped.  The ufuncs and their operands are those of fresh
-    arrays, so no output can change.  Only the yielded (boys, girls)
-    arrays are new for each block, because callers keep them.
+    Each call allocates its scratch once and every step writes into views
+    of it with ``out=``: the ufuncs and their operands are those of fresh
+    arrays, so no output can change.
     """
     import numpy as np
 
-    rule = as_rule(rule)
-    prob = as_probability(p)
     _check_int("samples", samples, 1)
     seed = _check_seed(seed)
     _check_cap(rule)
@@ -240,27 +224,23 @@ def _sample_blocks(
     boy, stop = (np.empty(_BLOCK_SIZE, dtype=np.bool_) for _ in range(2))
     counts = np.empty(_BLOCK_SIZE, dtype=np.uint32)
     size = min(samples, _BLOCK_SIZE)
-    positions = np.arange(size, dtype=np.int32)
+    ordinals = np.arange(1, size + 1, dtype=np.uint32)
     keys = [np.empty(size, dtype=np.uint64) for _ in range(2)]
-    wheres = [np.empty(size, dtype=np.int32) for _ in range(2)]
     excesses = [np.empty(size, dtype=np.uint32) for _ in range(2)]
     for start in range(0, samples, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, samples - start)
-        # Per family still drawing: its stream key, its block position (-1
-        # once stopped), and boys - n modulo 2^32.  After `draws` births
-        # that excess is at most draws - n - k exactly when
-        # n <= boys <= draws - k, i.e. when the family has stopped.
-        key, where, excess = keys[0][:count], wheres[0][:count], excesses[0][:count]
-        key[:] = positions[:count]
-        key += np.uint64(start + 1)
+        yield "block", start, start + count
+        # Per family still drawing: its stream key and boys - n modulo
+        # 2^32.  After `draws` births that excess is at most draws - n - k
+        # exactly when n <= boys <= draws - k, i.e. when the family has
+        # stopped.
+        key, excess = keys[0][:count], excesses[0][:count]
+        np.add(ordinals[:count], start, out=key, dtype=np.uint64)
         key *= gamma
         key += np.uint64(seed)
         _mix64_array(key, mixed[:count])
-        where[:] = positions[:count]
         excess.fill(-n % 2**32)
         half = 0  # which of each pair of arrays holds the live families
-        boys = np.empty(count, dtype=np.int32)
-        girls = np.empty(count, dtype=np.int32)
         draws = stopped = 0
         while key.size:
             if draws >= BIRTH_CAP:
@@ -297,29 +277,28 @@ def _sample_blocks(
                 column = done.take(hit, axis=0).argmax(axis=1)  # first stopping birth
                 births, stop_excess = run.take(column), running[hit, column]
                 draws += width
-            at = where.take(hit)
-            boys[at] = stop_excess + n
-            girls[at] = births - boys[at]
+            if not hit.size:
+                continue
+            yield "stop", hit, births, stop_excess
             # A stopped family is dropped once a quarter of the arrays have
             # stopped; until then it draws on with an excess that never
             # passes the test again.
             excess[hit] = _STOPPED
-            where[hit] = -1
             stopped += hit.size
             if stopped * 4 < live:
                 continue
             # index arrays, not boolean masks: a mask over a random half
             # of the families gathers about 5x slower
-            kept = np.flatnonzero(np.greater_equal(where, 0, out=boy[:live]))
+            kept = np.flatnonzero(np.greater_equal(excess.view(np.int32), -n, out=boy[:live]))
+            yield "kept", kept
             # gathered into the other half of each pair; mode="clip" (the
             # indices are in range) lets take write straight into `out`
             half ^= 1
-            key, where, excess = (
+            key, excess = (
                 np.take(values, kept, out=pair[half][: kept.size], mode="clip")
-                for values, pair in ((key, keys), (where, wheres), (excess, excesses))
+                for values, pair in ((key, keys), (excess, excesses))
             )
             stopped = 0
-        yield boys, girls
 
 
 def sample_outcomes(
@@ -331,8 +310,19 @@ def sample_outcomes(
     """Per-family (boys, girls, total) arrays for family indices 0..samples-1."""
     import numpy as np
 
-    blocks = _sample_blocks(rule, p, samples, seed)
-    boys, girls = (np.concatenate(arrays, dtype=np.int64) for arrays in zip(*blocks))
+    rule, prob = as_rule(rule), as_probability(p)
+    for kind, *event in _stop_events(rule, prob, samples, seed):
+        if kind == "block":
+            if not event[0]:  # allocated once the loop has checked every argument
+                boys, girls = (np.empty(samples, dtype=np.int64) for _ in range(2))
+            family = np.arange(*event)  # the index of each live family
+        elif kind == "stop":
+            hit, births, excess = event
+            at = family.take(hit)
+            boys[at] = excess + rule.boys_required
+            girls[at] = births - boys[at]
+        else:
+            family = family.take(event[0])
     return boys, girls, boys + girls
 
 
@@ -356,13 +346,22 @@ def run_simulation(
     # A stopped family has exactly n boys or exactly k girls, so its excess
     # (boys - n) - (girls - k) identifies its outcome.
     table: Counter[int] = Counter()
-    for boys, girls in _sample_blocks(rule, prob, samples, seed):
-        excess = (boys - n) - (girls - k)
-        low = int(excess.min())
-        counts = np.bincount(excess - low)
-        present = np.flatnonzero(counts)
-        table.update(dict(zip((present + low).tolist(), counts[present].tolist())))
-    outcomes = [(n + max(e, 0), k + max(-e, 0), count) for e, count in table.items()]
+    for kind, *event in _stop_events(rule, prob, samples, seed):
+        if kind != "stop":
+            continue
+        hit, births, excess = event
+        if isinstance(births, int):
+            # d births past n + k: n boys (boys - n = 0) is outcome -d, and
+            # k girls (boys - n = d > 0) is outcome d
+            d, girls_met = births - n - k, np.count_nonzero(excess)
+            table.update({d: girls_met, -d: hit.size - girls_met})
+        else:
+            outcome = 2 * excess - births + (n + k)  # as girls - k = births - boys - k
+            low = int(outcome.min())
+            counts = np.bincount(outcome - low)
+            present = np.flatnonzero(counts)
+            table.update(dict(zip((present + low).tolist(), counts[present].tolist())))
+    outcomes = [(n + max(e, 0), k + max(-e, 0), count) for e, count in table.items() if count]
 
     means = [total / samples for total in astuple(_outcome_moments(outcomes, prob))[1:]]
     ses = [0.0] * len(means)

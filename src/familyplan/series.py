@@ -51,8 +51,9 @@ def _horner(m: int, count: int, x: int, e: int) -> int:
     return total
 
 
-def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[int, int]:
-    """Exact (numerator, denominator > 0) of E[T] times p ("boys"), q ("girls") or 1 ("family_size")."""
+def _wald_fraction(rule: Rule, prob: BirthProbability) -> tuple[int, dict[str, int]]:
+    """Exact numerator of E[T] times p ("boys"), q ("girls") or 1 ("family_size"),
+    and the denominator > 0 of each: the three share the numerator."""
     n, k = rule.boys_required, rule.girls_required
     a, e, c = _dyadic(prob)
     try:
@@ -61,29 +62,32 @@ def _wald_fraction(rule: Rule, prob: BirthProbability, quantity: str) -> tuple[i
         numerator = (n * c + k * a) << e * (n + k)
         mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
         numerator -= a * c * mins
+        shift = e * (n + k - 1)
+        return numerator, {"boys": c << e + shift, "girls": a << e + shift, "family_size": a * c << shift}
     except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
-    scale = {"boys": c << e, "girls": a << e, "family_size": a * c}[quantity]
-    return numerator, scale << e * (n + k - 1)
 
 
 def _wald_sum(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     tol: float,
-    quantity: str,
-) -> SeriesResult:
-    """_wald_fraction, rounded once."""
+    *quantities: str,
+) -> list[SeriesResult]:
+    """_wald_fraction, each quantity rounded once."""
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
-    numerator, denominator = _wald_fraction(rule, prob, quantity)
-    try:
-        value = numerator / denominator
-    except OverflowError:
-        name = f"{quantity} of rule ({rule.boys_required},{rule.girls_required})"
-        raise NumericError(f"{name} at p={prob.p!r} overflows float64") from None
-    return SeriesResult(value=value, tail_bound=0.0, terms_used=rule.total_required)
+    numerator, denominators = _wald_fraction(rule, prob)
+    results = []
+    for quantity in quantities:
+        try:
+            value = numerator / denominators[quantity]
+        except OverflowError:
+            name = f"{quantity} of rule ({rule.boys_required},{rule.girls_required})"
+            raise NumericError(f"{name} at p={prob.p!r} overflows float64") from None
+        results.append(SeriesResult(value=value, tail_bound=0.0, terms_used=rule.total_required))
+    return results
 
 
 def expected_boys(
@@ -92,7 +96,7 @@ def expected_boys(
     tol: float,
 ) -> SeriesResult:
     """Expected number of boys at the stopping time, p*E[T]; tol is unused."""
-    return _wald_sum(rule, p, tol, "boys")
+    return _wald_sum(rule, p, tol, "boys")[0]
 
 
 def expected_girls(
@@ -101,7 +105,7 @@ def expected_girls(
     tol: float,
 ) -> SeriesResult:
     """Expected number of girls at the stopping time, q*E[T]; tol is unused."""
-    return _wald_sum(rule, p, tol, "girls")
+    return _wald_sum(rule, p, tol, "girls")[0]
 
 
 def expected_family_size(
@@ -110,7 +114,7 @@ def expected_family_size(
     tol: float,
 ) -> SeriesResult:
     """Expected number of children E(T) at the stopping time; tol is unused."""
-    return _wald_sum(rule, p, tol, "family_size")
+    return _wald_sum(rule, p, tol, "family_size")[0]
 
 
 def gender_ratio(
@@ -120,7 +124,8 @@ def gender_ratio(
 ) -> float:
     """Ratio of expected boys to expected girls: the birth odds p/(1-p) for
     every rule, within two ulps, as B and G are each correctly rounded."""
-    return expected_boys(rule, p, tol).value / expected_girls(rule, p, tol).value
+    boys, girls = _wald_sum(rule, p, tol, "boys", "girls")
+    return boys.value / girls.value
 
 
 def closed_form(quantity: str, p: BirthProbability | float) -> float:

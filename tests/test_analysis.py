@@ -18,10 +18,8 @@ SMALL_RULES = [(n, k) for n in range(8) for k in range(8) if n + k]
 def _exact_sign(a, b, p):
     """Sign of F_a - F_b at the float p, from the exact Wald fractions."""
     prob = BirthProbability(p)
-    (num_a, den_a), (num_b, den_b) = (
-        series._wald_fraction(Rule(*rule), prob, "family_size") for rule in (a, b)
-    )
-    cross = num_a * den_b - num_b * den_a
+    (num_a, dens_a), (num_b, dens_b) = (series._wald_fraction(Rule(*rule), prob) for rule in (a, b))
+    cross = num_a * dens_b["family_size"] - num_b * dens_a["family_size"]
     return (cross > 0) - (cross < 0)
 
 
@@ -75,9 +73,9 @@ class TestCrossingProbability:
         evaluated = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, prob, kind):
+        def recording(rule, prob):
             evaluated.append(prob.p)
-            return wald_fraction(rule, prob, kind)
+            return wald_fraction(rule, prob)
 
         monkeypatch.setattr(analysis, "_wald_fraction", recording)
         assert analysis.crossing_probability((3000, 1), (1, 3000), 1e-10) == 0.5

@@ -68,6 +68,21 @@ class TestExact:
         assert f"boys: {results['boys']['value']!r}" in human
 
 
+    def test_builds_the_exact_numerator_once(self, run_cli, monkeypatch):
+        # B, G and F share the numerator of E[T]; only their denominators differ
+        calls = []
+        wald_fraction = series._wald_fraction
+
+        def recording(rule, prob):
+            calls.append(prob.p)
+            return wald_fraction(rule, prob)
+
+        monkeypatch.setattr(series, "_wald_fraction", recording)
+        code, _, _ = run_cli(["exact", "-n", "3", "-k", "2", "-p", "0.3"])
+        assert code == 0
+        assert calls == [0.3]
+
+
 class TestSimulate:
     def test_identical_seeds_give_identical_bytes(self, run_cli):
         args = ["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "5000", "--seed", "42"]

@@ -5,6 +5,7 @@ import random
 import resource
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from familyplan import montecarlo as mc
 from familyplan import series, share
+from familyplan.core import _family_statistics, as_probability
 from familyplan.errors import BirthCapError, DomainError
 
 # allowance for series truncation when a band is otherwise zero-width
@@ -140,15 +142,17 @@ class TestSubstreams:
         with pytest.raises(BirthCapError):
             mc.sample_outcomes((1, 0), 1e-12, 10, 0)
 
-    def test_rule_longer_than_the_birth_cap_mixes_nothing(self, monkeypatch):
-        # no family can stop before its (n+k)-th birth, so no block is drawn
+    @pytest.mark.parametrize("sample", [mc.run_simulation, mc.sample_outcomes])
+    def test_rule_longer_than_the_birth_cap_mixes_nothing(self, monkeypatch, sample):
+        # no family can stop before its (n+k)-th birth, so no block is drawn,
+        # and no per-family array is allocated for 10^15 families
         def no_mixing(x, tmp):
             raise AssertionError("mixed a block for a rule that cannot stop")
 
         monkeypatch.setattr(mc, "_mix64_array", no_mixing)
         monkeypatch.setattr(mc, "BIRTH_CAP", 50)
         with pytest.raises(BirthCapError):
-            mc.run_simulation((51, 0), 0.5, 10, 0)
+            sample((51, 0), 0.5, 10**15, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -216,21 +220,22 @@ class TestSubstreams:
         assert mixed is x
         assert x.tolist() == [mc._mix64(word) for word in words]
 
-    def test_each_block_yields_fresh_arrays(self, monkeypatch):
-        # the sampler reuses its scratch across blocks, but not the arrays
-        # it yields: sample_outcomes concatenates them after the last block
+    def test_outcome_arrays_are_fresh(self, monkeypatch):
+        # the sampler reuses its scratch across blocks and calls, but not the
+        # arrays sample_outcomes returns: four blocks, then a second call
         monkeypatch.setattr(mc, "_BLOCK_SIZE", 64)
         rule, p, seed = (2, 1), 0.37, 23
-        blocks = list(mc._sample_blocks(rule, p, 200, seed))
-        assert len(blocks) == 4
-        arrays = [array for pair in blocks for array in pair]
+        first = mc.sample_outcomes(rule, p, 200, seed)
+        second = mc.sample_outcomes(rule, p, 200, seed)
+        arrays = [*first, *second]
         assert not any(
             np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
         )
-        boys, girls = (np.concatenate(column) for column in zip(*blocks))
         for index in range(200):
             outcome = mc.simulate_family(rule, p, mc.FamilyStream(seed, index))
-            assert (outcome.boys, outcome.girls) == (boys[index], girls[index])
+            expected = (outcome.boys, outcome.girls, outcome.total)
+            assert tuple(array[index] for array in first) == expected
+            assert tuple(array[index] for array in second) == expected
 
     def test_default_birth_cap_ends_a_degenerate_input(self):
         # about 1e12 births per family; the cap is reached in seconds
@@ -268,6 +273,23 @@ class TestSubstreams:
         assert digest.hexdigest() == expected["sha256"]
 
 
+def _summary_of_outcomes(p, seed, boys, girls):
+    """SimulationSummary of per-family arrays: one fsum per field over the
+    distinct outcomes, each statistic weighted by its count."""
+    prob, samples = as_probability(p), boys.size
+    outcomes = Counter(zip(boys.tolist(), girls.tolist()))
+    counted = [(_family_statistics(b, g, prob), count) for (b, g), count in outcomes.items()]
+    means = [math.fsum(count * stats[i] for stats, count in counted) / samples for i in range(5)]
+    ses = [0.0] * 5
+    if samples > 1:
+        squares = [
+            math.fsum(count * (stats[i] - means[i]) ** 2 for stats, count in counted) for i in range(5)
+        ]
+        ses = [math.sqrt(square / (samples - 1)) / math.sqrt(samples) for square in squares]
+    ratio = means[0] / means[1] if means[1] != 0.0 else float("inf")
+    return mc.SimulationSummary(samples, seed & (2**64 - 1), *means, *ses, ratio)
+
+
 class TestRunSimulation:
     def test_identical_seeds_reproduce_identical_summaries(self):
         first = mc.run_simulation((1, 1), 0.5, 20_000, 42)
@@ -303,6 +325,34 @@ class TestRunSimulation:
                 assert getattr(summary, f"se_{name}") == pytest.approx(expected_se, rel=1e-12)
             assert summary.ratio_estimate == summary.mean_boys / summary.mean_girls
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        k=st.integers(0, 4),
+        p=st.floats(0.02, 0.98) | st.sampled_from([2.0**-30, 2.0**-10, 1.0 - 2.0**-53]),
+        samples=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_summary_equals_the_summary_of_the_outcome_arrays(self, n, k, p, samples, seed):
+        # run_simulation counts families as they stop; sample_outcomes places
+        # each one at its index.  With 64-family blocks most steps draw one
+        # birth per family, with 1 << 16 every step draws a run of births.
+        if n + k < 1:
+            n = 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "BIRTH_CAP", 1000)
+            for block_size in (64, 1024, 1 << 16):
+                patch.setattr(mc, "_BLOCK_SIZE", block_size)
+                try:
+                    boys, girls, _ = mc.sample_outcomes((n, k), p, samples, seed)
+                except BirthCapError as error:
+                    with pytest.raises(BirthCapError) as caught:
+                        mc.run_simulation((n, k), p, samples, seed)
+                    assert str(caught.value) == str(error)
+                    continue
+                expected = _summary_of_outcomes(p, seed, boys, girls)
+                assert mc.run_simulation((n, k), p, samples, seed) == expected
+
     def test_block_size_never_changes_the_summary(self, monkeypatch):
         args = ((2, 1), 0.37, 5000, 11)
         monkeypatch.setattr(mc, "_BLOCK_SIZE", 64)
@@ -320,7 +370,7 @@ class TestRunSimulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 6 * 2**20
 
     def test_seed_is_masked_to_64_bits(self):
         wide = mc.run_simulation((1, 1), 0.5, 1000, 2**64 + 5)

@@ -106,6 +106,22 @@ class TestGenderRatio:
     def test_three_two_rule_at_one_quarter(self):
         assert series.gender_ratio((3, 2), 0.25, 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    def test_builds_the_exact_numerator_once(self, monkeypatch):
+        # B and G share the numerator of E[T]; only their denominators differ
+        rule, p = (3, 2), 0.3
+        boys, girls = (f(rule, p, 1e-12).value for f in (series.expected_boys, series.expected_girls))
+        expected = boys / girls
+        calls = []
+        wald_fraction = series._wald_fraction
+
+        def recording(rule, prob):
+            calls.append(prob.p)
+            return wald_fraction(rule, prob)
+
+        monkeypatch.setattr(series, "_wald_fraction", recording)
+        assert series.gender_ratio(rule, p, 1e-12) == expected
+        assert calls == [0.3]
+
     @pytest.mark.parametrize("rule", [(n, k) for n in range(4) for k in range(4) if n + k])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_ratio_equals_birth_odds(self, rule, p):
