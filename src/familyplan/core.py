@@ -16,12 +16,15 @@ computed as one integer over 2^(e*T) and rounded once.
 This module also hosts the brute-force oracle: a depth-first walk over raw
 birth sequences that shares no algebra with the series machinery and acts
 as the independent ground truth for every truncated expectation in the
-package.
+package.  It counts the stopped sequences of each (boys, girls) outcome, so
+the moment sums, like those of the pmf and the sampler, take one entry per
+outcome.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 from typing import Iterable, Iterator
@@ -184,21 +187,17 @@ def _family_statistics(
 def _outcome_moments(
     entries: Iterable[tuple[int, int, float]], prob: BirthProbability
 ) -> TruncatedMoments:
-    """Sum weight and weight * statistic over (boys, girls, weight) entries.
+    """Sum weight and weight * statistic over (boys, girls, weight) entries,
+    one entry per outcome.
 
     One fsum per field, so each field is the correctly rounded sum of its
-    products, whatever the order of the entries.  The statistics of an
-    outcome are computed once, however many entries share it.
+    products, whatever the order of the entries.
     """
-    stats: dict[tuple[int, int], tuple[int, int, int, float, float]] = {}
     mass: list[float] = []
     weighted: list[list[float]] = [[] for _ in range(5)]
     boys_w, girls_w, total_w, share_w, martingale_w = weighted
     for boys, girls, weight in entries:
-        key = boys, girls
-        if key not in stats:
-            stats[key] = _family_statistics(boys, girls, prob)
-        b, g, total, share, martingale = stats[key]
+        b, g, total, share, martingale = _family_statistics(boys, girls, prob)
         mass.append(weight)
         boys_w.append(weight * b)
         girls_w.append(weight * g)
@@ -208,30 +207,30 @@ def _outcome_moments(
     return TruncatedMoments(fsum(mass), *map(fsum, weighted))
 
 
-def _stopped_sequences(n: int, k: int, limit: int) -> list[tuple[int, int, bool]]:
-    """All birth sequences of length <= limit, pruned at first satisfaction.
+def _stopped_sequences(n: int, k: int, limit: int) -> Counter[tuple[int, int]]:
+    """Count the birth sequences of length <= limit, pruned at first
+    satisfaction, by their (boys, girls) outcome.
 
-    Returns one (boys, girls, last_is_boy) triple per stopped sequence.  The
-    walk is a plain depth-first enumeration of boy/girl strings; it never
+    The walk is a plain depth-first enumeration of boy/girl strings; it never
     touches binomial coefficients, which keeps it independent of the series
     formulas it is used to check.
     """
-    leaves: list[tuple[int, int, bool]] = []
+    counts: Counter[tuple[int, int]] = Counter()
 
     def walk(boys: int, girls: int) -> None:
         if boys + girls == limit:
             return
         if boys + 1 >= n and girls >= k:
-            leaves.append((boys + 1, girls, True))
+            counts[boys + 1, girls] += 1
         else:
             walk(boys + 1, girls)
         if boys >= n and girls + 1 >= k:
-            leaves.append((boys, girls + 1, False))
+            counts[boys, girls + 1] += 1
         else:
             walk(boys, girls + 1)
 
     walk(0, 0)
-    return leaves
+    return counts
 
 
 def enumerate_brute_force(
@@ -241,9 +240,9 @@ def enumerate_brute_force(
 ) -> TruncatedMoments:
     """Probability-weighted statistics over all families with T <= max_children.
 
-    Each stopped sequence contributes p^boys * (1-p)^girls, so truncated
-    expectations here come straight from the sample space with no series
-    algebra involved.
+    Each stopped sequence contributes p^boys * (1-p)^girls, so an outcome
+    weighs its count of sequences times that, and truncated expectations
+    here come straight from the sample space with no series algebra involved.
     """
     rule = as_rule(rule)
     prob = as_probability(p)
@@ -256,10 +255,10 @@ def enumerate_brute_force(
     pp, q = prob.p, prob.q
     return _outcome_moments(
         (
-            (boys, girls, pp**boys * q**girls)
-            for boys, girls, _last in _stopped_sequences(
+            (boys, girls, count * pp**boys * q**girls)
+            for (boys, girls), count in _stopped_sequences(
                 rule.boys_required, rule.girls_required, max_children
-            )
+            ).items()
         ),
         prob,
     )

@@ -43,12 +43,12 @@ def _check_tolerance(tol: float) -> float:
 
 
 def _horner(m: int, count: int, x: int, e: int) -> int:
-    """sum_{j<count} C(m+j, j) x^j 2^(e*(count-1-j)), by Horner in x."""
+    """sum_{j<count} C(m+j, j) x^j 2^(e*(count-1-j)), by Horner in x; count >= 1."""
     total, coefficient = 0, comb(m + count - 1, count - 1)
-    for j in range(count - 1, -1, -1):
+    for j in range(count - 1, 0, -1):
         total = total * x + (coefficient << e * (count - 1 - j))
         coefficient = coefficient * j // (m + j)
-    return total
+    return total * x + (1 << e * (count - 1))  # C(m, 0) = 1, even at m = 0
 
 
 def _wald_fraction(rule: Rule, prob: BirthProbability) -> tuple[int, dict[str, int]]:

@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence
 
-from .core import _check_int
+from .core import as_rule
 from .errors import DomainError
 
 # B = M/(1-p), M the integer Leibniz expansion, takes O((n+k)^2) operations;
@@ -276,10 +276,7 @@ def mirror(f: "RationalFunction | Polynomial | int") -> RationalFunction:
 
 
 def _check_rule_caps(n: int, k: int) -> None:
-    for name, value in (("n", n), ("k", k)):
-        _check_int(name, value, 0)
-    if n + k < 1:
-        raise DomainError("the (0,0) rule has no expected-boys function")
+    as_rule((n, k))
     if n > EXACT_RULE_CAP or k > EXACT_RULE_CAP:
         raise DomainError(
             f"rule ({n},{k}) exceeds the exact-arithmetic cap of {EXACT_RULE_CAP} per count"

@@ -104,10 +104,13 @@ class TestPmf:
         assert pmf((1, 1), 0.5, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_one_rule_at_four_matches_enumeration(self):
-        # frozen from the sequence walk: 3 boy-last + 1 girl-last sequences of mass 1/16
+        # frozen from the sequence walk: 3 boy-last (GGB, GBG, BGG then B) and
+        # 1 girl-last (BBB then G) sequences of mass 1/16
+        counts = core._stopped_sequences(2, 1, 6)
+        assert {outcome: counts[outcome] for outcome in ((2, 2), (3, 1))} == {(2, 2): 3, (3, 1): 1}
         enumerated = sum(
-            0.5**boys * 0.5**girls
-            for boys, girls, _last in core._stopped_sequences(2, 1, 6)
+            count * 0.5**boys * 0.5**girls
+            for (boys, girls), count in counts.items()
             if boys + girls == 4
         )
         assert enumerated == pytest.approx(0.25, abs=1e-15)
@@ -184,24 +187,26 @@ class TestBruteForce:
             # the recursive walk closure refers to itself, so only the
             # collector frees it
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert retained < 2**20
+        # 2^20 sequences, but the walk holds one count per (boys, girls) outcome
+        assert peak < 2**20
 
     def test_outcomes_have_first_satisfaction_structure(self):
-        # the closing birth brings its own sex to exactly the required count
-        for boys, girls, last_is_boy in core._stopped_sequences(2, 1, 12):
-            if last_is_boy:
-                assert boys == 2 and girls >= 1
-            else:
-                assert girls == 1 and boys >= 2
+        # the closing birth brings its own sex to exactly the required count,
+        # and the other sex is already at least at its own
+        counts = core._stopped_sequences(2, 1, 12)
+        assert counts and min(counts.values()) >= 1
+        for boys, girls in counts:
+            assert boys == 2 or girls == 1
             assert boys >= 2 and girls >= 1
 
     def test_outcome_count_matches_direct_walk(self):
         # every stopped leaf is a distinct sequence: cross-check the count
         # for (1,1) at horizon 5: T=t has exactly 2 sequences for t >= 2
         by_total = {}
-        for boys, girls, _last in core._stopped_sequences(1, 1, 5):
-            by_total[boys + girls] = by_total.get(boys + girls, 0) + 1
+        for (boys, girls), count in core._stopped_sequences(1, 1, 5).items():
+            by_total[boys + girls] = by_total.get(boys + girls, 0) + count
         assert by_total == {2: 2, 3: 2, 4: 2, 5: 2}

@@ -214,6 +214,14 @@ CAP_RULES = [
 
 
 class TestWaldFiniteSum:
+    @pytest.mark.parametrize("m", [0, 1, 2, 7])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("x,e", [(1, 0), (3, 2), (5, 3)])
+    def test_horner_is_its_defining_sum(self, m, count, x, e):
+        # m = 0 is the n - 1 of average_share's boy-closed mass at n = 1
+        direct = sum(math.comb(m + j, j) * x**j << e * (count - 1 - j) for j in range(count))
+        assert series._horner(m, count, x, e) == direct
+
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
     def test_correctly_rounded_on_the_whole_cap_grid(self, p):
