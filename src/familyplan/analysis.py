@@ -14,29 +14,14 @@ import io
 import math
 from dataclasses import astuple, dataclass
 
-from . import share as share_mod
-from .core import BirthProbability, Rule, _check_int, as_probability, as_rule
+from .core import BirthProbability, Rule, _check_int, as_rule
 from .errors import BracketingError, DomainError, NumericError
-from .series import (
-    _check_tolerance,
-    _wald_fraction,
-    expected_boys,
-    expected_family_size,
-    expected_girls,
-    gender_ratio,
-)
+from .series import _check_tolerance, _wald_fraction, _wald_value
+from .share import _average_share
 
-# Each entry looks its function up when called, so rebinding a module
-# attribute (as a tracer does) reaches the sweep.
-_QUANTITIES = {
-    "F": lambda rule, prob, tol: expected_family_size(rule, prob, tol).value,
-    "G": lambda rule, prob, tol: expected_girls(rule, prob, tol).value,
-    "B": lambda rule, prob, tol: expected_boys(rule, prob, tol).value,
-    "ratio": lambda rule, prob, tol: gender_ratio(rule, prob, tol),
-    "societal_share": lambda rule, prob, tol: share_mod.societal_share(rule, prob, tol),
-    "average_share": lambda rule, prob, tol: share_mod.average_share(rule, prob, tol).value,
-}
-SWEEP_QUANTITIES = tuple(_QUANTITIES)
+# the _wald_value quantity behind each Wald column
+_WALD_QUANTITIES = {"F": "family_size", "G": "girls", "B": "boys", "ratio": "ratio"}
+SWEEP_QUANTITIES = ("F", "G", "B", "ratio", "societal_share", "average_share")
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,10 @@ def sweep(
     A cell that fails numerically (a value beyond float64) is marked NaN
     instead of aborting the sweep; average_share lies in [0, 1] and always
     has a value.  Rows are ordered by grid index; columns by quantity kind,
-    then rule.
+    then rule.  Each cell equals its public function (expected_*, gender_ratio,
+    societal_share, average_share) bit for bit, and is NaN where that raises
+    NumericError; the arguments are checked once, and F, G, B and ratio of
+    one rule at one p share one Wald fraction.
     """
     parsed_rules = [as_rule(r) for r in rules]
     if not parsed_rules:
@@ -121,23 +109,47 @@ def sweep(
         raise DomainError(
             f"the grid must satisfy 0 < p_start < p_end < 1, got [{p_start}, {p_end}]"
         )
-    tol = _check_tolerance(tol)
+    _check_tolerance(tol)
 
+    names = [
+        f"{kind}({rule.boys_required},{rule.girls_required})" for kind in quantities for rule in parsed_rules
+    ]
+    wald = any(kind in _WALD_QUANTITIES for kind in quantities)
     span = p_end - p_start
     rows: list[SweepRow] = []
     for i in range(steps):
         p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
-        prob = as_probability(p)
-        cells: dict[str, float] = {}
-        for kind in quantities:
-            for rule in parsed_rules:
-                try:
-                    value = _QUANTITIES[kind](rule, prob, tol)
-                except NumericError:
-                    value = math.nan
-                cells[f"{kind}({rule.boys_required},{rule.girls_required})"] = value
-        rows.append(SweepRow(p=p, quantities=cells))
+        prob = BirthProbability(p)
+        by_rule = [_rule_cells(rule, prob, quantities, wald) for rule in parsed_rules]
+        cells = [value for by_kind in zip(*by_rule) for value in by_kind]
+        rows.append(SweepRow(p=p, quantities=dict(zip(names, cells))))
     return rows
+
+
+def _rule_cells(rule: Rule, prob: BirthProbability, quantities: list[str], wald: bool) -> list[float]:
+    """One rule's cells at one p, in the order of quantities, from at most
+    one Wald fraction; NaN where the public function raises NumericError."""
+    fraction = None
+    if wald:
+        try:
+            fraction = _wald_fraction(rule, prob)
+        except NumericError:
+            pass
+    cells = []
+    for kind in quantities:
+        try:
+            if kind == "societal_share":
+                value = prob.q
+            elif kind == "average_share":
+                value = _average_share(rule, prob)
+            elif fraction is None:
+                value = math.nan
+            else:
+                value = _wald_value(rule, prob, fraction, _WALD_QUANTITIES[kind])
+        except NumericError:
+            value = math.nan
+        cells.append(value)
+    return cells
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -149,13 +161,12 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     if not rows:
         raise DomainError("cannot serialize an empty sweep")
     names = list(rows[0].quantities)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["p"] + names)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["p"] + names)
+    lines = [header.getvalue()]
     for row in rows:
         if list(row.quantities) != names:
             raise DomainError("sweep rows carry inconsistent quantity names")
-        writer.writerow(
-            [f"{row.p:.17g}"] + [f"{row.quantities[name]:.17g}" for name in names]
-        )
-    return buffer.getvalue()
+        cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)

@@ -27,9 +27,11 @@ from .errors import DomainError, NumericError
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A value and a bound on its distance from the exact expectation: 0, as
-    every value is the correctly rounded expectation at the float p, with
-    terms_used n + k, the terms of its finite sum."""
+    """A value, tail_bound and terms_used n + k, the terms of its finite sum.
+
+    The sum is finite, so tail_bound, which bounds the truncation only, is 0.
+    It does not bound the rounding: the value is the correctly rounded
+    expectation at the float p, within half an ulp of the exact one."""
 
     value: float
     tail_bound: float
@@ -68,26 +70,40 @@ def _wald_fraction(rule: Rule, prob: BirthProbability) -> tuple[int, dict[str, i
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
 
 
+def _wald_value(
+    rule: Rule,
+    prob: BirthProbability,
+    fraction: tuple[int, dict[str, int]],
+    quantity: str,
+) -> float:
+    """One quantity of rule at prob from its _wald_fraction: "boys", "girls" or
+    "family_size" rounded once, or "ratio", the rounded boys over the rounded
+    girls; NumericError where a rounded value is beyond float64."""
+    if quantity == "ratio":
+        return _wald_value(rule, prob, fraction, "boys") / _wald_value(rule, prob, fraction, "girls")
+    numerator, denominators = fraction
+    try:
+        return numerator / denominators[quantity]
+    except OverflowError:
+        name = f"{quantity} of rule ({rule.boys_required},{rule.girls_required})"
+        raise NumericError(f"{name} at p={prob.p!r} overflows float64") from None
+
+
 def _wald_sum(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
     tol: float,
     *quantities: str,
 ) -> list[SeriesResult]:
-    """_wald_fraction, each quantity rounded once."""
+    """_wald_fraction, each quantity taken by _wald_value."""
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
-    numerator, denominators = _wald_fraction(rule, prob)
-    results = []
-    for quantity in quantities:
-        try:
-            value = numerator / denominators[quantity]
-        except OverflowError:
-            name = f"{quantity} of rule ({rule.boys_required},{rule.girls_required})"
-            raise NumericError(f"{name} at p={prob.p!r} overflows float64") from None
-        results.append(SeriesResult(value=value, tail_bound=0.0, terms_used=rule.total_required))
-    return results
+    fraction = _wald_fraction(rule, prob)
+    return [
+        SeriesResult(value=_wald_value(rule, prob, fraction, q), tail_bound=0.0, terms_used=rule.total_required)
+        for q in quantities
+    ]
 
 
 def expected_boys(
@@ -124,8 +140,7 @@ def gender_ratio(
 ) -> float:
     """Ratio of expected boys to expected girls: the birth odds p/(1-p) for
     every rule, within two ulps, as B and G are each correctly rounded."""
-    boys, girls = _wald_sum(rule, p, tol, "boys", "girls")
-    return boys.value / girls.value
+    return _wald_sum(rule, p, tol, "ratio")[0].value
 
 
 def closed_form(quantity: str, p: BirthProbability | float) -> float:

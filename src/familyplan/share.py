@@ -15,6 +15,7 @@ perceives as asymmetry even though the population-level ratio is fair.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .core import BirthProbability, Rule, _dyadic, as_probability, as_rule
 from .errors import NumericError
@@ -24,6 +25,10 @@ from .series import SeriesResult, _check_tolerance, _horner
 # round settles nearly every value; each further round of Ziv's doubles them.
 _GUARD_BITS = 64
 _ZIV_ROUNDS = 8
+# The precisions _ln_2 keeps, so that it holds at most 128 values of 512 bytes:
+# a sweep of rules up to (6,6) asks for at most 204 bits, while (40,40) at
+# p = 5e-324 asks for 43040, and each further Ziv round doubles that.
+_LN_2_CACHED_BITS = 1 << 12
 
 
 def societal_share(
@@ -53,13 +58,20 @@ def _atanh(num: int, den: int, bits: int) -> tuple[int, int]:
     return (total if num >= 0 else -total), 2 * odd
 
 
-def _ln(x: int, e: int, bits: int, ln_2: tuple[int, int]) -> tuple[int, int]:
-    """2^bits * ln(x/2^e) for an integer x >= 1, and a bound on its error,
-    given ln_2 = 2^bits * ln 2 and its error bound; with x/2^t in
-    [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2."""
+@lru_cache(maxsize=128)
+def _ln_2(bits: int) -> tuple[int, int]:
+    """2^bits * ln 2 = 2^(bits+1) atanh(1/3), and a bound on its error; a
+    sweep asks for a few dozen precisions over and over."""
+    return _atanh(1, 3, bits + 1)
+
+
+def _ln(x: int, e: int, bits: int) -> tuple[int, int]:
+    """2^bits * ln(x/2^e) for an integer x >= 1, and a bound on its error;
+    with x/2^t in [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2."""
     t = x.bit_length() - (2 * x * x < 1 << 2 * x.bit_length())
     value, error = _atanh(x - (1 << t), x + (1 << t), bits + 1)
-    return value + (t - e) * ln_2[0], error + abs(t - e) * ln_2[1]
+    ln_2, ln_2_error = (_ln_2 if bits <= _LN_2_CACHED_BITS else _ln_2.__wrapped__)(bits)
+    return value + (t - e) * ln_2, error + abs(t - e) * ln_2_error
 
 
 def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int]:
@@ -89,7 +101,15 @@ def average_share(
     p: BirthProbability | float,
     tol: float,
 ) -> SeriesResult:
-    """E[girls / T], correctly rounded at the float p; tol is checked but unused.
+    """E[girls / T], correctly rounded at the float p; tol is checked but unused."""
+    rule = as_rule(rule)
+    prob = as_probability(p)
+    _check_tolerance(tol)
+    return SeriesResult(value=_average_share(rule, prob), tail_bound=0.0, terms_used=rule.total_required)
+
+
+def _average_share(rule: Rule, prob: BirthProbability) -> float:
+    """average_share's value, for arguments already checked.
 
     Boy-closed families of size T hold T - n girls and girl-closed ones k,
     so E[girls/T] = P(boy-closed) - n sum_B P/T + k sum_G P/T, two _branch
@@ -99,9 +119,6 @@ def average_share(
     is raised until both ends of their error interval round to one float
     (Ziv's strategy).  That ends, as the value is transcendental (Baker)
     unless u ln p + v ln q = 0: at a float p, only n = k at 1/2, value 1/2."""
-    rule = as_rule(rule)
-    prob = as_probability(p)
-    _check_tolerance(tol)
     n, k = rule.boys_required, rule.girls_required
     (a, e, c), size = _dyadic(prob), n + k
     try:
@@ -119,13 +136,12 @@ def average_share(
     cancelled = max(abs(u), abs(v)).bit_length() - denominator.bit_length()
     bits = _GUARD_BITS + max(cancelled, 0) + e.bit_length()
     for _ in range(_ZIV_ROUNDS):
-        ln_2 = _atanh(1, 3, bits + 1)  # ln 2 = 2 atanh(1/3)
-        (ln_p, error_p), (ln_q, error_q) = _ln(a, e, bits, ln_2), _ln(c, e, bits, ln_2)
+        (ln_p, error_p), (ln_q, error_q) = _ln(a, e, bits), _ln(c, e, bits)
         total = (rational << bits) + u * ln_p + v * ln_q
         error = abs(u) * error_p + abs(v) * error_q
         low = (total - error) / (denominator << bits)  # int / int rounds correctly
         if low == (total + error) / (denominator << bits):
-            return SeriesResult(value=low, tail_bound=0.0, terms_used=size)
+            return low
         bits *= 2
     raise NumericError(f"average_share of rule ({n},{k}) at p={prob.p!r} unsettled at {bits // 2} bits")
 

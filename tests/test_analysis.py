@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import analysis, series
+from familyplan import analysis, series, share
 from familyplan.core import BirthProbability, Rule
-from familyplan.errors import BracketingError, DomainError
+from familyplan.errors import BracketingError, DomainError, NumericError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SMALL_RULES = [(n, k) for n in range(8) for k in range(8) if n + k]
@@ -21,6 +21,22 @@ def _exact_sign(a, b, p):
     (num_a, dens_a), (num_b, dens_b) = (series._wald_fraction(Rule(*rule), prob) for rule in (a, b))
     cross = num_a * dens_b["family_size"] - num_b * dens_a["family_size"]
     return (cross > 0) - (cross < 0)
+
+
+def _public_value(kind, rule, p):
+    """The public function behind a sweep cell; NaN where it raises NumericError."""
+    functions = {
+        "F": lambda: series.expected_family_size(rule, p, 1e-10).value,
+        "G": lambda: series.expected_girls(rule, p, 1e-10).value,
+        "B": lambda: series.expected_boys(rule, p, 1e-10).value,
+        "ratio": lambda: series.gender_ratio(rule, p, 1e-10),
+        "societal_share": lambda: share.societal_share(rule, p, 1e-10),
+        "average_share": lambda: share.average_share(rule, p, 1e-10).value,
+    }
+    try:
+        return functions[kind]()
+    except NumericError:
+        return math.nan
 
 
 def _check_crossing_contract(a, b):
@@ -202,6 +218,45 @@ class TestSweep:
         with pytest.raises(DomainError, match="real numbers"):
             analysis.sweep([(1, 1)], ["F"], steps=3, tol=1e-10, **ends)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(any),
+                st.sampled_from([(300, 0), (10**20, 1)]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(st.just(5e-324), st.floats(1e-300, 0.5)),
+        st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
+        st.integers(2, 4),
+    )
+    def test_cells_equal_the_public_functions_bit_for_bit(self, rules, p_start, p_end, steps):
+        # the sweep shares exact work between cells, but must not become a
+        # second implementation: NaN exactly where the public function raises
+        rows = analysis.sweep(rules, list(analysis.SWEEP_QUANTITIES), p_start, p_end, steps, 1e-10)
+        for row in rows:
+            for kind in analysis.SWEEP_QUANTITIES:
+                for n, k in rules:
+                    got = row.quantities[f"{kind}({n},{k})"]
+                    assert got.hex() == _public_value(kind, (n, k), row.p).hex(), (kind, (n, k), row.p)
+
+    def test_builds_one_wald_fraction_per_rule_and_p(self, monkeypatch):
+        # F, G, B and ratio of one rule at one p share one exact numerator
+        calls = []
+        wald_fraction = series._wald_fraction
+
+        def recording(rule, prob):
+            calls.append((rule, prob.p))
+            return wald_fraction(rule, prob)
+
+        monkeypatch.setattr(series, "_wald_fraction", recording)
+        monkeypatch.setattr(analysis, "_wald_fraction", recording)
+        analysis.sweep([(1, 1), (3, 2)], ["F", "G", "B", "ratio"], 0.1, 0.9, 5, 1e-10)
+        assert len(calls) == 10
+        assert len(set(calls)) == 10
+
     def test_zero_rule_is_refused_while_parsing_the_rules(self):
         # before the quantities are checked, so the unknown "X" is never reported
         with pytest.raises(DomainError, match=r"the \(0,0\) rule"):
@@ -229,3 +284,15 @@ class TestCsv:
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
             analysis.sweep_to_csv([])
+
+    def test_every_quantity_near_the_grid_edge_is_pinned_to_the_byte(self):
+        # at p = 5e-324, F, G and ratio of both rules overflow float64
+        rows = analysis.sweep([(1, 1), (300, 0)], list(analysis.SWEEP_QUANTITIES), 5e-324, 0.5, 3, 1e-10)
+        assert analysis.sweep_to_csv(rows) == (
+            'p,"F(1,1)","F(300,0)","G(1,1)","G(300,0)","B(1,1)","B(300,0)","ratio(1,1)","ratio(300,0)",'
+            '"societal_share(1,1)","societal_share(300,0)","average_share(1,1)","average_share(300,0)"\n'
+            "4.9406564584124654e-324,nan,nan,nan,nan,1,300,nan,nan,1,1,1,1\n"
+            "0.25,4.333333333333333,1200,3.25,900,1.0833333333333333,300,0.33333333333333331,"
+            "0.33333333333333331,0.75,0.75,0.65094809698204592,0.74937395921588756\n"
+            "0.5,3,600,1.5,300,1.5,300,1,1,0.5,0.5,0.5,0.49916667129619341\n"
+        )

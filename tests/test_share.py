@@ -207,6 +207,22 @@ class TestClosedForm:
         with pytest.raises(NumericError):
             share.average_share((1, 1), 0.3, 1e-10)
 
+    def test_repeated_call_computes_no_new_ln_2(self):
+        # 2^bits ln 2 depends only on the working precision, so a second
+        # call at the same rule and p finds every precision it needs cached
+        share.average_share((3, 2), 0.3, 1e-10)
+        before = share._ln_2.cache_info()
+        share.average_share((3, 2), 0.3, 1e-10)
+        after = share._ln_2.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_high_precision_ln_2_is_not_kept(self):
+        # (40,40) at 5e-324 needs 43040 bits or more: computed, not cached
+        share._ln_2.cache_clear()
+        assert share.average_share((40, 40), 5e-324, 1e-10).value == 1.0
+        assert share._ln_2.cache_info().currsize == 0
+
     @pytest.mark.parametrize("p", P_GRID)
     def test_average_share_strictly_below_societal_share(self, p):
         closed = share.shammai_average_share_closed_form(p)
