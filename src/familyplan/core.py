@@ -13,12 +13,12 @@ both supported on T >= n + k.  When n = 0 or k = 0 the corresponding
 addend is dropped.  The float p is exactly a/2^e, so each addend is
 computed as one integer over 2^(e*T) and rounded once.
 
-This module also hosts the brute-force oracle: a depth-first walk over raw
-birth sequences that shares no algebra with the series machinery and acts
-as the independent ground truth for every truncated expectation in the
-package.  It counts the stopped sequences of each (boys, girls) outcome, so
-the moment sums, like those of the pmf and the sampler, take one entry per
-outcome.
+This module also hosts the brute-force oracle, the independent ground truth
+for every truncated expectation in the package.  It counts the birth
+sequences one birth at a time, by additions alone, so it shares no algebra
+with the series machinery, and it keeps one count per (boys, girls)
+outcome, so the moment sums, like those of the pmf and the sampler, take
+one entry per outcome.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from math import fsum
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-
-# Enumeration is exponential in the worst case; the cap keeps 2^max_children
-# walks tractable.
-BRUTE_FORCE_CAP = 24
 
 
 def _check_int(name: str, value: object, minimum: int | None = None) -> int:
@@ -211,25 +207,23 @@ def _stopped_sequences(n: int, k: int, limit: int) -> Counter[tuple[int, int]]:
     """Count the birth sequences of length <= limit, pruned at first
     satisfaction, by their (boys, girls) outcome.
 
-    The walk is a plain depth-first enumeration of boy/girl strings; it never
-    touches binomial coefficients, which keeps it independent of the series
+    live maps the boys of the unstopped sequences after t births to how many
+    there are; each birth splits every state in two and moves the sequences
+    it stops into the outcome counts.  Only additions are used, never a
+    binomial coefficient, which keeps the count independent of the series
     formulas it is used to check.
     """
     counts: Counter[tuple[int, int]] = Counter()
-
-    def walk(boys: int, girls: int) -> None:
-        if boys + girls == limit:
-            return
-        if boys + 1 >= n and girls >= k:
-            counts[boys + 1, girls] += 1
-        else:
-            walk(boys + 1, girls)
-        if boys >= n and girls + 1 >= k:
-            counts[boys, girls + 1] += 1
-        else:
-            walk(boys, girls + 1)
-
-    walk(0, 0)
+    live = {0: 1}
+    for t in range(limit):
+        grown: Counter[int] = Counter()
+        for boys, count in live.items():
+            for b, g in ((boys + 1, t - boys), (boys, t - boys + 1)):
+                if b >= n and g >= k:
+                    counts[b, g] += count
+                else:
+                    grown[b] += count
+        live = grown
     return counts
 
 
@@ -240,22 +234,20 @@ def enumerate_brute_force(
 ) -> TruncatedMoments:
     """Probability-weighted statistics over all families with T <= max_children.
 
-    Each stopped sequence contributes p^boys * (1-p)^girls, so an outcome
-    weighs its count of sequences times that, and truncated expectations
-    here come straight from the sample space with no series algebra involved.
+    Each stopped sequence has probability p^boys * (1-p)^girls, so an outcome
+    weighs its count of sequences times that: with p = a/2^e and q = c/2^e,
+    the integer count * a^boys * c^girls over 2^(e*(boys+girls)), rounded
+    once.  Truncated expectations here come straight from the sample space
+    with no series algebra involved.
     """
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
-    if max_children > BRUTE_FORCE_CAP:
-        raise DomainError(
-            f"max_children={max_children} exceeds the enumeration cap of {BRUTE_FORCE_CAP}"
-        )
 
-    pp, q = prob.p, prob.q
+    a, e, c = _dyadic(prob)
     return _outcome_moments(
         (
-            (boys, girls, count * pp**boys * q**girls)
+            (boys, girls, count * a**boys * c**girls / (1 << e * (boys + girls)))
             for (boys, girls), count in _stopped_sequences(
                 rule.boys_required, rule.girls_required, max_children
             ).items()

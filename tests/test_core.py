@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from familyplan import analysis, core, montecarlo, series, share
 from familyplan.errors import DomainError
 
 RULES_TO_4 = [(n, k) for n in range(5) for k in range(5) if n + k >= 1]
+RULES_TO_6 = [(n, k) for n in range(7) for k in range(7) if n + k >= 1]
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 # public entries across the layers that take a rule, called with the rule under test
@@ -47,6 +49,51 @@ TOL_TAKERS = {
 
 def pmf(rule, p, t):
     return sum(core.stopping_pmf_components(rule, p, t))
+
+
+def walked_sequences(n, k, limit):
+    """Count the birth sequences of length <= limit, pruned at first
+    satisfaction, by their (boys, girls) outcome.
+
+    The walk is a plain depth-first enumeration of boy/girl strings; it never
+    touches binomial coefficients, which keeps it independent of the series
+    formulas it is used to check.
+    """
+    counts = Counter()
+
+    def walk(boys, girls):
+        if boys + girls == limit:
+            return
+        if boys + 1 >= n and girls >= k:
+            counts[boys + 1, girls] += 1
+        else:
+            walk(boys + 1, girls)
+        if boys >= n and girls + 1 >= k:
+            counts[boys, girls + 1] += 1
+        else:
+            walk(boys, girls + 1)
+
+    walk(0, 0)
+    return counts
+
+
+def horizon_with_tail_below(rule, p, tail):
+    """The first horizon H with P(T > H) < tail.
+
+    A family still going after H births has fewer than n boys or fewer than
+    k girls among them, so P(T > H) is at most the sum of the two binomial
+    lower tails.
+    """
+    n, k = rule
+    q = 1.0 - p
+    horizon = n + k
+    while (
+        sum(math.comb(horizon, j) * p**j * q ** (horizon - j) for j in range(n))
+        + sum(math.comb(horizon, j) * q**j * p ** (horizon - j) for j in range(k))
+        >= tail
+    ):
+        horizon += 1
+    return horizon
 
 
 class TestValidation:
@@ -170,12 +217,7 @@ class TestBruteForce:
         result = core.enumerate_brute_force((2, 0), 0.5, 20)
         assert result.total == pytest.approx(4.0, abs=1e-3)
 
-    def test_rejects_horizon_above_cap(self):
-        with pytest.raises(DomainError):
-            core.enumerate_brute_force((1, 1), 0.5, core.BRUTE_FORCE_CAP + 1)
-
-    def test_raised_cap_allows_deeper_walks(self, monkeypatch):
-        monkeypatch.setattr(core, "BRUTE_FORCE_CAP", 30)
+    def test_thirty_births_cover_nearly_all_mass(self):
         result = core.enumerate_brute_force((2, 1), 0.5, 30)
         assert result.mass_covered > 1.0 - 1e-7
 
@@ -184,15 +226,37 @@ class TestBruteForce:
         tracemalloc.start()
         try:
             core.enumerate_brute_force((6, 6), 0.5, 20)
-            # the recursive walk closure refers to itself, so only the
-            # collector frees it
-            gc.collect()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert retained < 2**20
-        # 2^20 sequences, but the walk holds one count per (boys, girls) outcome
+        # 2^20 sequences, but the count holds one entry per (boys, girls) state
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "rule,horizons", [(rule, (1, 5, 12, 16)) for rule in RULES_TO_6] + [((12, 12), (20,))]
+    )
+    def test_count_equals_the_recursive_walk(self, rule, horizons):
+        for horizon in horizons:
+            assert core._stopped_sequences(*rule, horizon) == walked_sequences(*rule, horizon)
+
+    @pytest.mark.parametrize("rule", RULES_TO_4)
+    def test_whole_expectations_match_the_exact_values(self, rule):
+        # past a horizon that leaves less than 2^-60 of the mass, brute force
+        # is the whole expectation, not a truncated one; each weight is
+        # rounded once (relative error 2^-53) and their sum once more, so the
+        # mass reads within 2^-52 of 1
+        for p in P_GRID:
+            result = core.enumerate_brute_force(rule, p, horizon_with_tail_below(rule, p, 2**-60))
+            assert abs(1.0 - result.mass_covered) <= 2**-52
+            exact = {
+                "boys": series.expected_boys(rule, p, 1e-10).value,
+                "girls": series.expected_girls(rule, p, 1e-10).value,
+                "total": series.expected_family_size(rule, p, 1e-10).value,
+                "girl_share": share.average_share(rule, p, 1e-10).value,
+            }
+            for field, value in exact.items():
+                assert getattr(result, field) == pytest.approx(value, rel=1e-12), (p, field)
 
     def test_outcomes_have_first_satisfaction_structure(self):
         # the closing birth brings its own sex to exactly the required count,

@@ -24,9 +24,8 @@ class TestExpectedBoys:
     def test_two_boys_rule_is_constant_two(self, p):
         assert series.expected_boys((2, 0), p, 1e-12).value == pytest.approx(2.0, abs=1e-10)
 
-    def test_matches_brute_force_within_mass_deficit(self, monkeypatch):
+    def test_matches_brute_force_within_mass_deficit(self):
         rule, p, horizon = (2, 1), 0.5, 40
-        monkeypatch.setattr(core, "BRUTE_FORCE_CAP", horizon)
         oracle = core.enumerate_brute_force(rule, p, horizon)
         boys = series.expected_boys(rule, p, 1e-13)
         size = series.expected_family_size(rule, p, 1e-13)
