@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 
 def _check_int(name: str, value: object, minimum: int | None = None) -> int:
@@ -122,14 +122,17 @@ def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[f
     """
     n, k = rule.boys_required, rule.girls_required
     a, e, c = _dyadic(prob)
-    boys = math.comb(t - 1, n - 1) * a**n * c ** (t - n) if n else 0
-    girls = math.comb(t - 1, k - 1) * a ** (t - k) * c**k if k else 0
-    while True:
-        scale = 1 << e * t
-        yield boys / scale, girls / scale
-        boys = boys * t * c // (t - n + 1)
-        girls = girls * t * a // (t - k + 1)
-        t += 1
+    try:
+        boys = math.comb(t - 1, n - 1) * a**n * c ** (t - n) if n else 0
+        girls = math.comb(t - 1, k - 1) * a ** (t - k) * c**k if k else 0
+        while True:
+            scale = 1 << e * t
+            yield boys / scale, girls / scale
+            boys = boys * t * c // (t - n + 1)
+            girls = girls * t * a // (t - k + 1)
+            t += 1
+    except (OverflowError, MemoryError):
+        raise NumericError(f"P(T = {t}) of rule ({n},{k}) is too large for exact integers") from None
 
 
 def stopping_pmf_components(

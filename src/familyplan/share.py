@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .core import BirthProbability, Rule, _dyadic, as_probability, as_rule
 from .errors import NumericError
-from .series import SeriesResult, _check_tolerance, _horner
+from .series import SeriesResult, _check_tolerance
 
 # Bits beyond the cancellation of the logarithm terms and the bits of e: one
 # round settles nearly every value; each further round of Ziv's doubles them.
@@ -74,14 +74,15 @@ def _ln(x: int, e: int, bits: int) -> tuple[int, int]:
     return value + (t - e) * ln_2, error + abs(t - e) * ln_2_error
 
 
-def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int]:
+def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int, int]:
     """Families closed by the m-th child of the sex born with probability x/2^e.
 
-    With y = 2^e - x, returns (rational, log) over lcm * y^m * 2^(e*size):
-    sum_{T>=size} P(closed at T)/T = rational + log * ln(x/2^e).  From T = m
-    that sum is (x/y)^m (-1)^m ln(x/2^e) + sum_{j<m-1} (-1)^j (x/y)^(j+1)/(m-1-j)
-    (put u = 1 - y t in 1/T = int_0^1 t^(T-1) dt); the head m <= T < size is
-    subtracted.
+    With y = 2^e - x, returns (rational, log) over lcm * y^m * 2^(e*size),
+    sum_{T>=size} P(closed at T)/T = rational + log * ln(x/2^e), and
+    2^(e*size) P(closed by this sex).  From T = m that sum is (x/y)^m (-1)^m
+    ln(x/2^e) + sum_{j<m-1} (-1)^j (x/y)^(j+1)/(m-1-j) (put u = 1 - y t in
+    1/T = int_0^1 t^(T-1) dt); the head m <= T < size is summed by Horner in
+    y, weighted by lcm/T for the rational part and unweighted for the mass.
     """
     x_m, y_m = x**m, y**m
     # sum_{j<m-1} (-1)^j x^(j+1) y^(m-1-j) lcm/(m-1-j), by Horner in x
@@ -89,11 +90,13 @@ def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, i
     for j in range(m - 2, -1, -1):
         rational = rational * x + (-1) ** j * (lcm // (m - 1 - j)) * y_power
         y_power *= y
-    rational = rational * x << e * size
-    for t in range(m, size):
-        head = math.comb(t - 1, m - 1) * x_m * y ** (t - m) << e * (size - t)
-        rational -= head * y_m * (lcm // t)
-    return rational, (-1) ** m * x_m * lcm << e * size
+    head, weighted, coefficient = 0, 0, math.comb(size - 1, m - 1)
+    for t in range(size - 1, m - 1, -1):
+        coefficient = coefficient * (t - m + 1) // t  # C(t-1, m-1) from C(t, m-1)
+        head = head * y + (coefficient << e * (size - t))
+        weighted = weighted * y + (coefficient * (lcm // t) << e * (size - t))
+    rational = (rational * x << e * size) - x_m * y_m * weighted
+    return rational, (-1) ** m * x_m * lcm << e * size, (1 << e * size) - x_m * head
 
 
 def average_share(
@@ -112,9 +115,8 @@ def _average_share(rule: Rule, prob: BirthProbability) -> float:
     """average_share's value, for arguments already checked.
 
     Boy-closed families of size T hold T - n girls and girl-closed ones k,
-    so E[girls/T] = P(boy-closed) - n sum_B P/T + k sum_G P/T, two _branch
-    sums and P(boy-closed) = 1 - p^n sum_{g<k} C(n-1+g, g) q^g, one _horner
-    sum: over lcm(1..n+k) c^n a^k 2^(e(n+k)), with p = a/2^e and q = c/2^e,
+    so E[girls/T] = P(boy-closed) - n sum_B P/T + k sum_G P/T, all three from
+    _branch: over lcm(1..n+k) c^n a^k 2^(e(n+k)), with p = a/2^e and q = c/2^e,
     rational + u ln p + v ln q in integers.  The precision of the logarithms
     is raised until both ends of their error interval round to one float
     (Ziv's strategy).  That ends, as the value is transcendental (Baker)
@@ -123,11 +125,8 @@ def _average_share(rule: Rule, prob: BirthProbability) -> float:
     (a, e, c), size = _dyadic(prob), n + k
     try:
         lcm = math.lcm(*range(1, size + 1))
-        rational_b, log_b = _branch(n, a, c, e, size, lcm) if n else (0, 0)
-        rational_g, log_g = _branch(k, c, a, e, size, lcm) if k else (0, 0)
-        boy_closed = 0  # 2^(e*size) P(boy-closed) = 2^(e*size) - a^n sum_{g<k} C(n-1+g, g) c^g 2^(e*(k-g))
-        if n:
-            boy_closed = (1 << e * size) - (a**n * _horner(n - 1, k, c, e) << e if k else 0)
+        rational_b, log_b, boy_closed = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
+        rational_g, log_g, _ = _branch(k, c, a, e, size, lcm) if k else (0, 0, 0)
         denominator = lcm * c**n * a**k << e * size
     except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None

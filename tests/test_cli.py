@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import familyplan
-from familyplan import analysis, cli, series, symbolic
+from familyplan import analysis, cli, series, share, symbolic
 
 # One entry per invocation: argv, exit code, and the exact stdout and stderr.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -244,11 +244,13 @@ class TestSeriesOverflow:
     )
     def test_rule_too_large_for_exact_integers_exits_two(self, run_cli, monkeypatch, args):
         # the size check must come before the finite sums, which would loop
-        # some 10^20 times for k >= 1
+        # some 10^20 times for k >= 1: series' _horner, and share's head
+        # loop in _branch, which math.lcm over 1..n+k must refuse first
         def no_sums(*args):
             raise AssertionError("finite sum started before the size check")
 
         monkeypatch.setattr(series, "_horner", no_sums)
+        monkeypatch.setattr(share, "_branch", no_sums)
         code, out, err = run_cli(args)
         assert code == 2
         assert out == ""

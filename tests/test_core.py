@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from familyplan import analysis, core, montecarlo, series, share
-from familyplan.errors import DomainError
+from familyplan.errors import DomainError, NumericError
 
 RULES_TO_4 = [(n, k) for n in range(5) for k in range(5) if n + k >= 1]
 RULES_TO_6 = [(n, k) for n in range(7) for k in range(7) if n + k >= 1]
@@ -199,6 +203,45 @@ class TestPmf:
         mirrored = pmf((k, n), 1.0 - p, t)
         assert direct == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
         assert 0.0 <= direct <= 1.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: core.stopping_pmf_components((1, 0), 0.5, 10**20),
+            lambda: core.stopping_pmf_components((10**20, 1), 0.5, 10**20 + 5),
+            lambda: series.truncated_moments((10**20, 1), 0.5, 10**20 + 1),
+        ],
+        ids=["pmf_1_0", "pmf_huge_n", "truncated_moments"],
+    )
+    def test_addend_too_large_for_exact_integers_is_a_numeric_error(self, call):
+        # 2^(e*t) and c^(t-n) at t = 10^20 overflow the integer digit count
+        with pytest.raises(NumericError, match="too large for exact integers"):
+            call()
+
+    def test_addend_too_large_for_memory_is_a_numeric_error(self):
+        # 2^(10^12) needs 125 GB, which a 1.5 GB address space turns into a
+        # MemoryError; run in a child so that the limit stays there
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        code = (
+            "from familyplan import core\n"
+            "try:\n"
+            "    core.stopping_pmf_components((1, 0), 0.5, 10**12)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.stdout.startswith("NumericError "), proc.stderr
+        assert "too large for exact integers" in proc.stdout
 
 
 class TestBruteForce:

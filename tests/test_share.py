@@ -46,6 +46,30 @@ def exact_average_share(n, k, p):
     return Fraction(total, 1 << FIXED_POINT), Fraction(total + slack, 1 << FIXED_POINT)
 
 
+def termwise_branch(m, x, y, e, size, lcm):
+    """share._branch with each head term built from scratch, as
+    C(T-1, m-1) x^m y^(T-m) 2^(e*(size-T)): the reference for its Horner pass."""
+    x_m, y_m = x**m, y**m
+    rational, y_power = 0, y
+    for j in range(m - 2, -1, -1):
+        rational = rational * x + (-1) ** j * (lcm // (m - 1 - j)) * y_power
+        y_power *= y
+    rational, closed = rational * x << e * size, 1 << e * size
+    for t in range(m, size):
+        head = math.comb(t - 1, m - 1) * x_m * y ** (t - m) << e * (size - t)
+        rational -= head * y_m * (lcm // t)
+        closed -= head
+    return rational, (-1) ** m * x_m * lcm << e * size, closed
+
+
+def assert_branches_match_termwise(n, k, p):
+    (a, e, c), size = core._dyadic(core.as_probability(p)), n + k
+    lcm = math.lcm(*range(1, size + 1))
+    for m, x, y in ((n, a, c), (k, c, a)):
+        if m:
+            assert share._branch(m, x, y, e, size, lcm) == termwise_branch(m, x, y, e, size, lcm), (n, k, p, m)
+
+
 def decimal_share(rule, p):
     """E[girls/T] of a rule with a known closed form, in 100-digit decimals.
 
@@ -196,6 +220,18 @@ class TestClosedForm:
         truncated = series.truncated_moments((n, k), p, n + k + extra)
         gap = share.average_share((n, k), p, 1e-10).value - truncated.girl_share
         assert -1e-14 <= gap <= 1.0 - truncated.mass_covered + 1e-14
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_branch_equals_the_termwise_head(self, n):
+        for k in range(13):
+            for p in (0.3, 0.5, 0.005, 0.995, 5e-324, 1.0 - 2.0**-53):
+                if n + k:
+                    assert_branches_match_termwise(n, k, p)
+
+    @pytest.mark.parametrize("rule", [(3, 400), (400, 3), (1000, 21)])
+    def test_branch_equals_the_termwise_head_on_long_rules(self, rule):
+        for p in (0.3, 0.5, 0.995):
+            assert_branches_match_termwise(*rule, p)
 
     def test_extreme_probabilities_have_values(self):
         for rule in [(n, k) for n in range(4) for k in range(4) if n + k]:
