@@ -237,23 +237,38 @@ def enumerate_brute_force(
 ) -> TruncatedMoments:
     """Probability-weighted statistics over all families with T <= max_children.
 
-    Each stopped sequence has probability p^boys * (1-p)^girls, so an outcome
-    weighs its count of sequences times that: with p = a/2^e and q = c/2^e,
-    the integer count * a^boys * c^girls over 2^(e*(boys+girls)), rounded
-    once.  Truncated expectations here come straight from the sample space
-    with no series algebra involved.
+    Each stopped sequence has probability p^boys * (1-p)^girls, so with
+    p = a/2^e, q = c/2^e and H = max_children an outcome of T births weighs
+    its count of sequences times a^boys c^girls 2^(e(H-T)) over 2^(eH).
+    Each field sums its integer numerators and divides once, so it is
+    correctly rounded: girl_share scales by lcm(1..H)/T to stay in integers,
+    and the martingale boys/p - girls/q is 2^e (boys c - girls a)/(a c).
+    Truncated expectations here come straight from the sample space with no
+    series algebra involved.
     """
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
 
     a, e, c = _dyadic(prob)
-    return _outcome_moments(
-        (
-            (boys, girls, count * a**boys * c**girls / (1 << e * (boys + girls)))
-            for (boys, girls), count in _stopped_sequences(
-                rule.boys_required, rule.girls_required, max_children
-            ).items()
-        ),
-        prob,
+    lcm = math.lcm(*range(1, max_children + 1))
+    mass = boys_sum = girls_sum = share_sum = martingale_sum = 0
+    for (boys, girls), count in _stopped_sequences(
+        rule.boys_required, rule.girls_required, max_children
+    ).items():
+        total = boys + girls
+        weight = count * a**boys * c**girls << e * (max_children - total)
+        mass += weight
+        boys_sum += weight * boys
+        girls_sum += weight * girls
+        share_sum += weight * (lcm // total * girls)
+        martingale_sum += weight * (boys * c - girls * a)
+    scale = 1 << e * max_children
+    return TruncatedMoments(
+        mass / scale,
+        boys_sum / scale,
+        girls_sum / scale,
+        (boys_sum + girls_sum) / scale,
+        share_sum / (scale * lcm),
+        martingale_sum / (a * c << e * (max_children - 1)),
     )

@@ -10,7 +10,18 @@ rule expands both derivatives: with N = n+k-1 and q = 1-p, B = M/q, where
 
     M = n sum_{j<n} C(N,j) p^j q^(N+1-j) + k sum_{j<=min(k,N)} C(N,j) p^(N+1-j) q^j
 
-has integer coefficients and degree at most N+1.  So the ratio identity
+has integer coefficients and degree at most N+1.  Both sums are binomial
+CDFs: with F_m(p) = P(Bin(N,p) < m), and F_m = 0 for m <= 0,
+
+    M = n q F_n + k p (1 - F_{n-1}),
+
+and the upper tail has the closed form
+
+    1 - F_m = P(Bin(N,p) >= m) = sum_{j=m..N} (-1)^(j-m) C(N,j) C(j-1,m-1) p^j,
+
+whose coefficients follow from c_m = C(N,m) by the exact ratio
+c_{j+1} / c_j = (N-j) j / ((j+1)(j+1-m)).  So M takes O(n+k) big-int
+steps.  The ratio identity
 
     (1-p) B(n,k,p)  =  p B(k,n,1-p)
 
@@ -39,8 +50,9 @@ from typing import Iterable, Sequence
 from .core import as_rule
 from .errors import DomainError
 
-# B = M/(1-p), M the integer Leibniz expansion, takes O((n+k)^2) operations;
-# the cap bounds a verify grid, whose work grows as the fourth power of it.
+# B = M/(1-p) takes O(n+k) big-int steps, but a certificate's mirror of M is
+# a Taylor shift of O((n+k)^2) additions; the cap bounds a verify grid, whose
+# work therefore still grows as the fourth power of it.
 EXACT_RULE_CAP = 20
 
 
@@ -114,10 +126,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+        """The value at a rational x = u/v: sum c_i u^i v^(d-i) in integers,
+        by Horner in u, over v^d (scale ends one factor v past it)."""
+        u, v = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+            acc = acc * u + c * scale
+            scale *= v
+        return Fraction(acc * v, scale)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)!r})"
@@ -283,15 +299,29 @@ def _check_rule_caps(n: int, k: int) -> None:
         )
 
 
+def _upper_tail(total: int, m: int) -> list[int]:
+    """The coefficients of P(Bin(total, p) >= m) in p, constant term first."""
+    if m <= 0:
+        return [1] + [0] * total
+    coeffs = [0] * (total + 1)
+    c = comb(total, m)
+    for j in range(m, total + 1):
+        coeffs[j] = -c if (j - m) % 2 else c
+        c = c * (total - j) * j // ((j + 1) * (j + 1 - m))
+    return coeffs
+
+
 @lru_cache(maxsize=512)
 def _leibniz_numerator(n: int, k: int) -> Polynomial:
+    """M(n,k) = (1-p) B(n,k) = n (1-p) F_n + k p (1 - F_{n-1})."""
     total = n + k - 1
-    terms = [(n * comb(total, j), j, total + 1 - j) for j in range(n)]
-    terms += [(k * comb(total, j), total + 1 - j, j) for j in range(min(k, total) + 1)]
-    coeffs = [0] * (total + 2)
-    for scale, a, b in terms:
-        for i in range(b + 1):
-            coeffs[a + i] += (-1) ** i * scale * comb(b, i)
+    # n (1-p) F_n = n (1-p) (1 - P(Bin >= n)), then k p P(Bin >= n-1)
+    coeffs = [n, -n] + [0] * total
+    for i, c in enumerate(_upper_tail(total, n)):
+        coeffs[i] -= n * c
+        coeffs[i + 1] += n * c
+    for i, c in enumerate(_upper_tail(total, n - 1)):
+        coeffs[i + 1] += k * c
     return Polynomial(coeffs)
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -286,12 +288,12 @@ class TestBruteForce:
     @pytest.mark.parametrize("rule", RULES_TO_4)
     def test_whole_expectations_match_the_exact_values(self, rule):
         # past a horizon that leaves less than 2^-60 of the mass, brute force
-        # is the whole expectation, not a truncated one; each weight is
-        # rounded once (relative error 2^-53) and their sum once more, so the
-        # mass reads within 2^-52 of 1
+        # is the whole expectation, not a truncated one; the exact mass lies
+        # within 2^-60 of 1, so it rounds to 1.0, and the oracle's mass is
+        # one exact sum rounded once
         for p in P_GRID:
             result = core.enumerate_brute_force(rule, p, horizon_with_tail_below(rule, p, 2**-60))
-            assert abs(1.0 - result.mass_covered) <= 2**-52
+            assert result.mass_covered == 1.0
             exact = {
                 "boys": series.expected_boys(rule, p, 1e-10).value,
                 "girls": series.expected_girls(rule, p, 1e-10).value,
@@ -300,6 +302,20 @@ class TestBruteForce:
             }
             for field, value in exact.items():
                 assert getattr(result, field) == pytest.approx(value, rel=1e-12), (p, field)
+
+    @pytest.mark.parametrize("rule", [(0, 1), (2, 1), (3, 3)])
+    def test_every_field_is_the_exact_sum_rounded_once(self, rule):
+        # the Fraction sums over the counted outcomes, rounded at the end
+        for p in P_GRID + [1 / 3]:
+            exact_p = Fraction(p)
+            fields = [Fraction(0)] * 6
+            for (boys, girls), count in core._stopped_sequences(*rule, 25).items():
+                weight = count * exact_p**boys * (1 - exact_p) ** girls
+                stats = (1, boys, girls, boys + girls, Fraction(girls, boys + girls),
+                         boys / exact_p - girls / (1 - exact_p))
+                fields = [f + weight * s for f, s in zip(fields, stats)]
+            result = core.enumerate_brute_force(rule, p, 25)
+            assert astuple(result) == tuple(map(float, fields)), p
 
     def test_outcomes_have_first_satisfaction_structure(self):
         # the closing birth brings its own sex to exactly the required count,

@@ -54,6 +54,20 @@ class TestPolynomial:
         poly = Polynomial([1, -1, 1])
         assert poly.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        poly=st.lists(st.integers(-(10**30), 10**30), max_size=12).map(Polynomial),
+        x=st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+            st.fractions(max_denominator=10**12),
+        ),
+    )
+    def test_evaluate_equals_horner_in_fractions(self, poly, x):
+        expected = Fraction(0)
+        for c in reversed(poly.coefficients):
+            expected = expected * x + c
+        assert poly.evaluate(x) == expected
+
     @pytest.mark.parametrize("bad", [Fraction(1, 3), Fraction(4, 2), 0.1, 1.0, True])
     def test_fraction_float_and_bool_coefficients_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -212,6 +226,35 @@ def test_leibniz_boys_equal_derivative_chain():
                 continue
             chain = derivative_chain_boys(n, k)
             assert chain == symbolic.expected_boys_exact(n, k) * chain_scale(n, k), (n, k)
+
+
+def leibniz_double_loop(n: int, k: int) -> Polynomial:
+    """M(n,k) = (1-p) B(n,k) by the Leibniz expansion term by term: each
+    C(N,j) p^a (1-p)^b expanded by the binomial theorem, O((n+k)^2) terms."""
+    total = n + k - 1
+    terms = [(n * comb(total, j), j, total + 1 - j) for j in range(n)]
+    terms += [(k * comb(total, j), total + 1 - j, j) for j in range(min(k, total) + 1)]
+    coeffs = [0] * (total + 2)
+    for scale, a, b in terms:
+        for i in range(b + 1):
+            coeffs[a + i] += (-1) ** i * scale * comb(b, i)
+    return Polynomial(coeffs)
+
+
+def test_cdf_numerator_equals_the_leibniz_double_loop():
+    build = symbolic._leibniz_numerator.__wrapped__
+    for n in range(41):
+        for k in range(41):
+            if n + k >= 1:
+                assert build(n, k) == leibniz_double_loop(n, k), (n, k)
+
+
+@pytest.mark.parametrize("rule", [(60, 45), (200, 3), (3, 200), (150, 150)])
+@pytest.mark.parametrize("p", [0.3, 0.5, 977 / 1024, 1e-3])
+def test_uncapped_exact_boys_round_to_the_wald_value(rule, p):
+    # both values are correctly rounded, so they agree bit for bit
+    boys = RationalFunction(symbolic._leibniz_numerator.__wrapped__(*rule), (0, 1))
+    assert float(symbolic.evaluate_exact(boys, Fraction(p))) == series.expected_boys(rule, p, 1e-10).value
 
 
 class TestRatioIdentity:
