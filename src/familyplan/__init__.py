@@ -9,96 +9,67 @@ algebra; and seeded Monte Carlo) and checks them against a brute-force
 enumeration of raw birth sequences.  The headline invariant:
 the ratio of expected boys to expected girls equals the birth odds
 p/(1-p) for every rule.
+
+Each public name below is imported from its module on first access, so
+``import familyplan`` loads no layer and a caller pays only for the
+layers it uses.
 """
 
-from .analysis import (
-    SweepRow,
-    crossing_probability,
-    sweep,
-    sweep_to_csv,
-)
-from .core import (
-    BirthProbability,
-    Rule,
-    TruncatedMoments,
-    enumerate_brute_force,
-    stopping_pmf_components,
-)
-from .errors import (
-    BirthCapError,
-    BracketingError,
-    DomainError,
-    NumericError,
-)
-from .montecarlo import (
-    FamilyOutcome,
-    FamilyStream,
-    SimulationSummary,
-    run_simulation,
-    sample_outcomes,
-    simulate_family,
-)
-from .series import (
-    SeriesResult,
-    closed_form,
-    expected_boys,
-    expected_family_size,
-    expected_girls,
-    gender_ratio,
-    truncated_moments,
-)
-from .share import (
-    average_share,
-    shammai_average_share_closed_form,
-    societal_share,
-)
-from .symbolic import (
-    Polynomial,
-    RatioCertificate,
-    RationalFunction,
-    evaluate_exact,
-    expected_boys_exact,
-    mirror,
-    verify_ratio_identity,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BirthCapError",
-    "BirthProbability",
-    "BracketingError",
-    "DomainError",
-    "FamilyOutcome",
-    "FamilyStream",
-    "NumericError",
-    "Polynomial",
-    "RatioCertificate",
-    "RationalFunction",
-    "Rule",
-    "SeriesResult",
-    "SimulationSummary",
-    "SweepRow",
-    "TruncatedMoments",
-    "average_share",
-    "closed_form",
-    "crossing_probability",
-    "enumerate_brute_force",
-    "evaluate_exact",
-    "expected_boys",
-    "expected_boys_exact",
-    "expected_family_size",
-    "expected_girls",
-    "gender_ratio",
-    "mirror",
-    "run_simulation",
-    "sample_outcomes",
-    "shammai_average_share_closed_form",
-    "simulate_family",
-    "societal_share",
-    "stopping_pmf_components",
-    "sweep",
-    "sweep_to_csv",
-    "truncated_moments",
-    "verify_ratio_identity",
-]
+# module -> the public names it provides
+_EXPORTS = {
+    "analysis": ("SweepRow", "crossing_probability", "sweep", "sweep_to_csv"),
+    "core": (
+        "BirthProbability",
+        "Rule",
+        "TruncatedMoments",
+        "enumerate_brute_force",
+        "stopping_pmf_components",
+    ),
+    "errors": ("BirthCapError", "BracketingError", "DomainError", "NumericError"),
+    "montecarlo": (
+        "FamilyOutcome",
+        "FamilyStream",
+        "SimulationSummary",
+        "run_simulation",
+        "sample_outcomes",
+        "simulate_family",
+    ),
+    "series": (
+        "SeriesResult",
+        "closed_form",
+        "expected_boys",
+        "expected_family_size",
+        "expected_girls",
+        "gender_ratio",
+        "truncated_moments",
+    ),
+    "share": ("average_share", "shammai_average_share_closed_form", "societal_share"),
+    "symbolic": (
+        "Polynomial",
+        "RatioCertificate",
+        "RationalFunction",
+        "evaluate_exact",
+        "expected_boys_exact",
+        "mirror",
+        "verify_ratio_identity",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,13 +6,13 @@ the record is printed as one JSON envelope (command, inputs, results,
 warnings), with null for a non-finite float; otherwise the same values
 are rendered from it as key/value lines.  Exit codes: 0 success, 1
 domain error (invalid rule, probability, arguments), 2 numeric failure
-(overflow, no bracket, identity violation).
+(overflow, no bracket, identity violation).  Each subcommand imports
+the layer it runs when it runs, so a process loads no other layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +20,6 @@ import warnings
 from dataclasses import asdict
 from typing import Any, Callable, Iterator, Sequence
 
-from . import analysis, montecarlo, series, share, symbolic
 from .core import BirthProbability, Rule
 from .errors import DomainError, NumericError
 
@@ -63,6 +62,8 @@ def _rule_and_probability(args: argparse.Namespace) -> tuple[Rule, BirthProbabil
 
 
 def _cmd_exact(args: argparse.Namespace) -> _Record:
+    from . import series
+
     rule, prob, inputs = _rule_and_probability(args)
     boys, girls, size = series._wald_sum(rule, prob, args.tol, "boys", "girls", "family_size")
     results = {
@@ -76,12 +77,16 @@ def _cmd_exact(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Record:
+    from . import montecarlo
+
     rule, prob, inputs = _rule_and_probability(args)
     summary = montecarlo.run_simulation(rule, prob, args.samples, args.seed)
     return {**inputs, "samples": args.samples, "seed": args.seed}, summary.to_dict()
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Record:
+    from . import symbolic
+
     if args.max_n < 0 or args.max_k < 0:
         raise DomainError("--max-n and --max-k must be >= 0")
     if args.max_n + args.max_k < 1:
@@ -109,6 +114,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_share(args: argparse.Namespace) -> _Record:
+    from . import share
+
     rule, prob, inputs = _rule_and_probability(args)
     societal = share.societal_share(rule, prob, args.tol)
     average = share.average_share(rule, prob, args.tol)
@@ -124,11 +131,15 @@ def _cmd_share(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> _Record:
+    from . import analysis
+
     root = analysis.crossing_probability(_parse_rule(args.a), _parse_rule(args.b), args.tol)
     return {"a": args.a, "b": args.b, "tol": args.tol}, {"root": root}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> _Record:
+    from . import analysis
+
     rules = [
         _parse_rule(rule)
         for rule in _split(args.rules, "at least one rule is required (e.g. --rules '1,1;2,0')")
@@ -251,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--quantities",
         required=True,
-        help=f"quantities separated by ; from {', '.join(analysis.SWEEP_QUANTITIES)}",
+        # analysis.SWEEP_QUANTITIES, spelled out so that --help loads no layer
+        help="quantities separated by ; from F, G, B, ratio, societal_share, average_share",
     )
     sweep_cmd.add_argument("--from", dest="p_from", type=float, required=True, help="grid start")
     sweep_cmd.add_argument("--to", dest="p_to", type=float, required=True, help="grid end")
@@ -282,6 +294,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         if args.json:
+            import json
+
             print(json.dumps(_strict_json(envelope), indent=2))
         else:
             print("\n".join(_human_lines(envelope)))

@@ -250,19 +250,29 @@ def enumerate_brute_force(
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
 
+    n, k = rule.boys_required, rule.girls_required
+    counts = _stopped_sequences(n, k, max_children)
     a, e, c = _dyadic(prob)
     lcm = math.lcm(*range(1, max_children + 1))
     mass = boys_sum = girls_sum = share_sum = martingale_sum = 0
-    for (boys, girls), count in _stopped_sequences(
-        rule.boys_required, rule.girls_required, max_children
-    ).items():
-        total = boys + girls
-        weight = count * a**boys * c**girls << e * (max_children - total)
-        mass += weight
-        boys_sum += weight * boys
-        girls_sum += weight * girls
-        share_sum += weight * (lcm // total * girls)
-        martingale_sum += weight * (boys * c - girls * a)
+    # A family stops at its n-th boy or its k-th girl, so every outcome lies
+    # on the line boys = n or girls = k.  Each line is walked out from
+    # (n, k) with one running power a^boys c^girls; pop counts the corner once.
+    corner = a**n * c**k
+    for step, line in (
+        (c, [(n, girls) for girls in range(k, max_children - n + 1)]),
+        (a, [(boys, k) for boys in range(n, max_children - k + 1)]),
+    ):
+        power = corner
+        for boys, girls in line:
+            total = boys + girls
+            weight = counts.pop((boys, girls), 0) * power << e * (max_children - total)
+            power *= step
+            mass += weight
+            boys_sum += weight * boys
+            girls_sum += weight * girls
+            share_sum += weight * (lcm // total * girls)
+            martingale_sum += weight * (boys * c - girls * a)
     scale = 1 << e * max_children
     return TruncatedMoments(
         mass / scale,

@@ -21,15 +21,16 @@ function and agree bit for bit.  numpy is imported on the first batched
 call, not with the package, so the other methods start without it.
 
 The batched path is one sampling loop, ``_stop_events``.  It draws a block
-of families at a time, one birth per unstopped family per step, or a run
-of births per family once few are unstopped, discarding those drawn after
-a family's stopping birth; so each outcome depends only on its own
-family's stream.  It yields stop events: which families stopped at a step,
-after how many births, with how many boys.  ``run_simulation`` counts each
-event straight into a table of distinct outcomes, and every summary field
-is an fsum over that table, so the summary does not depend on the block
-size and memory does not grow with the number of samples.  Only
-``sample_outcomes`` maps events to family indices.
+of families at a time, one birth per unstopped family per step, or, once
+few are unstopped, a run of births per family no longer than the births
+drawn so far, discarding those drawn after a family's stopping birth; so
+each outcome depends only on its own family's stream.  It yields stop
+events: which families stopped at a step, after how many births, with how
+many boys.  ``run_simulation`` counts each event straight into a table of
+distinct outcomes, and every summary field is an fsum over that table, so
+the summary does not depend on the block size and memory does not grow
+with the number of samples.  Only ``sample_outcomes`` maps events to
+family indices.
 """
 
 from __future__ import annotations
@@ -259,8 +260,10 @@ def _stop_events(rule: Rule, prob: BirthProbability, samples: int, seed: int) ->
                 hit = np.flatnonzero(np.less_equal(excess, draws - shortest, out=stop[:live]))
                 births, stop_excess = draws, excess.take(hit)
             else:
-                # `width` births per family in one (families, width) step
-                width = min(width, BIRTH_CAP - draws)
+                # `width` births per family in one (families, width) step,
+                # no more than the births drawn so far (at least n + k), so
+                # a few short families do not fill the whole block
+                width = min(width, max(draws, shortest), BIRTH_CAP - draws)
                 shape, used = (live, width), live * width
                 run = np.arange(draws + 1, draws + width + 1)  # their birth numbers
                 word = words[:used].reshape(shape)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -416,6 +417,13 @@ class TestParserBehaviour:
         assert excinfo.value.code == 0
         assert "exact" in capsys.readouterr().out
 
+    def test_sweep_help_lists_every_quantity_in_order(self, capsys):
+        # the help spells the quantities out so that it loads no layer
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"from {', '.join(analysis.SWEEP_QUANTITIES)}" in help_text
+
 
 class TestClosedOutput:
     def test_closed_pipe_exits_one_without_traceback(self):
@@ -440,39 +448,89 @@ class TestClosedOutput:
         assert "BrokenPipeError" not in stderr
 
 
-# Runs in a fresh interpreter, since the test process has imported numpy
-# already.  The last stdout line reports the exit codes and numpy's presence.
-_LAZY_NUMPY_SCRIPT = """
+# Runs in a fresh interpreter, since the test process has imported every
+# layer and numpy already.  The last stdout line lists, after the import and
+# after each subcommand, its exit code and the familyplan modules, fractions
+# and numpy then loaded.
+_LAZY_LAYERS_SCRIPT = """
 import json, sys
-import familyplan
+
+def loaded():
+    return [m for m in sys.modules if m.startswith("familyplan") or m in ("fractions", "numpy")]
+
 from familyplan.cli import main
 
-codes = [
-    main(["exact", "-n", "1", "-k", "1", "-p", "0.5"]),
-    main(["share", "-n", "2", "-k", "0", "-p", "0.5"]),
-    main(["verify", "--max-n", "2", "--max-k", "2"]),
-    main(["crossing", "--a", "1,1", "--b", "2,0"]),
-    main(["sweep", "--rules", "1,1", "--quantities", "F", "--from", "0.2",
-          "--to", "0.8", "--steps", "3", "--out", sys.argv[1]]),
-]
-numpy_before = "numpy" in sys.modules
-simulate = main(["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "100"])
-print(json.dumps([codes, numpy_before, simulate, "numpy" in sys.modules]))
+stages = [["import", 0, loaded()]]
+for argv in [
+    ["exact", "-n", "1", "-k", "1", "-p", "0.5"],
+    ["share", "-n", "2", "-k", "0", "-p", "0.5"],
+    ["verify", "--max-n", "2", "--max-k", "2"],
+    ["crossing", "--a", "1,1", "--b", "2,0"],
+    ["sweep", "--rules", "1,1", "--quantities", "F", "--from", "0.2",
+     "--to", "0.8", "--steps", "3", "--out", sys.argv[1]],
+    ["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "100"],
+]:
+    stages.append([argv[0], main(argv), loaded()])
+print(json.dumps(stages))
 """
 
 
 class TestLazyNumpy:
     def test_only_simulate_imports_numpy(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, "-c", _LAZY_NUMPY_SCRIPT, str(tmp_path / "sweep.csv")],
+            [sys.executable, "-c", _LAZY_LAYERS_SCRIPT, str(tmp_path / "sweep.csv")],
             capture_output=True,
             text=True,
             env=_package_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        codes, numpy_before, simulate, numpy_after = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [0] * 5
-        assert not numpy_before
-        assert simulate == 0
-        assert numpy_after
+        stages = json.loads(proc.stdout.splitlines()[-1])
+        added, before = {}, set()
+        for stage, code, modules in stages:
+            assert code == 0, stage
+            added[stage], before = set(modules) - before, set(modules)
+        # each subcommand loads its own layer, and only simulate loads numpy
+        assert added == {
+            "import": {"familyplan", "familyplan.cli", "familyplan.core", "familyplan.errors"},
+            "exact": {"familyplan.series"},
+            "share": {"familyplan.share"},
+            "verify": {"familyplan.symbolic", "fractions"},
+            "crossing": {"familyplan.analysis"},
+            "sweep": set(),
+            "simulate": {"familyplan.montecarlo", "numpy"},
+        }
+
+
+_FRESH_PACKAGE_SCRIPT = """
+import json
+import familyplan
+listed = dir(familyplan)
+from familyplan import *
+print(json.dumps([listed, [name for name in dir() if not name.startswith("_")]]))
+"""
+
+
+class TestPackage:
+    @pytest.mark.parametrize("name", familyplan.__all__)
+    def test_each_name_is_its_module_attribute(self, name):
+        module = importlib.import_module(f"familyplan.{familyplan._MODULE_OF[name]}")
+        assert getattr(familyplan, name) is getattr(module, name)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            familyplan.no_such_name
+        assert not hasattr(familyplan, "no_such_name")
+
+    def test_dir_and_star_import_cover_every_name_before_first_use(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PACKAGE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        listed, bound = json.loads(proc.stdout)
+        assert set(familyplan.__all__) <= set(listed)
+        assert set(familyplan.__all__) <= set(bound)

@@ -154,6 +154,21 @@ class TestSubstreams:
         with pytest.raises(BirthCapError):
             sample((51, 0), 0.5, 10**15, 0)
 
+    def test_tail_draws_about_what_the_families_need(self, monkeypatch):
+        # a run step is no wider than the births drawn so far, so a block's
+        # tail does not fill the whole block for a few short families
+        mixed = []
+        mix = mc._mix64_array
+
+        def counting(x, tmp):
+            mixed.append(x.size)
+            return mix(x, tmp)
+
+        monkeypatch.setattr(mc, "_mix64_array", counting)
+        summary = mc.run_simulation((1, 1), 0.5, 1000, 0)
+        births = round(summary.mean_total * summary.samples)
+        assert sum(mixed) < 3 * births
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(0, 4),
