@@ -26,6 +26,7 @@ from .errors import DomainError, NumericError
 DEFAULT_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
+VERIFY_GRID_CAP = 20  # a verify grid's work grows as the fourth power of its side
 
 # (inputs echoed back, results)
 _Record = tuple[dict[str, Any], dict[str, Any]]
@@ -91,8 +92,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Record:
         raise DomainError("--max-n and --max-k must be >= 0")
     if args.max_n + args.max_k < 1:
         raise DomainError("--max-n 0 --max-k 0 holds only the (0,0) rule, which has no certificate")
-    if max(args.max_n, args.max_k) > symbolic.EXACT_RULE_CAP:
-        raise DomainError(f"--max-n or --max-k exceeds the exact-arithmetic cap of {symbolic.EXACT_RULE_CAP}")
+    if max(args.max_n, args.max_k) > VERIFY_GRID_CAP:
+        raise DomainError(f"--max-n or --max-k exceeds the exact-arithmetic cap of {VERIFY_GRID_CAP}")
     certificates = []
     for n in range(args.max_n + 1):
         for k in range(args.max_k + 1):

@@ -27,6 +27,8 @@ steps.  The ratio identity
 
 is the polynomial equality M(n,k)(p) = M(k,n)(1-p), and equal canonical
 forms of its two sides are a proof for that (n, k), not an approximation.
+Any rule that ``as_rule`` accepts is taken; one too large for exact
+integers raises NumericError.
 
 Every function built here has a denominator p^a (1-p)^b, so a
 RationalFunction is both built from and stored as N(p) / (p^a (1-p)^b):
@@ -48,12 +50,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .core import as_rule
-from .errors import DomainError
-
-# B = M/(1-p) takes O(n+k) big-int steps, but a certificate's mirror of M is
-# a Taylor shift of O((n+k)^2) additions; the cap bounds a verify grid, whose
-# work therefore still grows as the fourth power of it.
-EXACT_RULE_CAP = 20
+from .errors import DomainError, NumericError
 
 
 def _exact(value: int) -> int:
@@ -291,14 +288,6 @@ def mirror(f: "RationalFunction | Polynomial | int") -> RationalFunction:
     return RationalFunction(Polynomial(shifted), (b, a))
 
 
-def _check_rule_caps(n: int, k: int) -> None:
-    as_rule((n, k))
-    if n > EXACT_RULE_CAP or k > EXACT_RULE_CAP:
-        raise DomainError(
-            f"rule ({n},{k}) exceeds the exact-arithmetic cap of {EXACT_RULE_CAP} per count"
-        )
-
-
 def _upper_tail(total: int, m: int) -> list[int]:
     """The coefficients of P(Bin(total, p) >= m) in p, constant term first."""
     if m <= 0:
@@ -315,19 +304,22 @@ def _upper_tail(total: int, m: int) -> list[int]:
 def _leibniz_numerator(n: int, k: int) -> Polynomial:
     """M(n,k) = (1-p) B(n,k) = n (1-p) F_n + k p (1 - F_{n-1})."""
     total = n + k - 1
-    # n (1-p) F_n = n (1-p) (1 - P(Bin >= n)), then k p P(Bin >= n-1)
-    coeffs = [n, -n] + [0] * total
-    for i, c in enumerate(_upper_tail(total, n)):
-        coeffs[i] -= n * c
-        coeffs[i + 1] += n * c
-    for i, c in enumerate(_upper_tail(total, n - 1)):
-        coeffs[i + 1] += k * c
+    try:
+        # n (1-p) F_n = n (1-p) (1 - P(Bin >= n)), then k p P(Bin >= n-1)
+        coeffs = [n, -n] + [0] * total
+        for i, c in enumerate(_upper_tail(total, n)):
+            coeffs[i] -= n * c
+            coeffs[i + 1] += n * c
+        for i, c in enumerate(_upper_tail(total, n - 1)):
+            coeffs[i + 1] += k * c
+    except (OverflowError, MemoryError):
+        raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     return Polynomial(coeffs)
 
 
 def expected_boys_exact(n: int, k: int) -> RationalFunction:
-    """B(n,k,p) as an exact rational function on (0,1)."""
-    _check_rule_caps(n, k)
+    """B(n,k,p) as an exact rational function on (0,1), in O(n+k) big-int steps."""
+    as_rule((n, k))
     return RationalFunction(_leibniz_numerator(n, k), (0, 1))
 
 
@@ -346,9 +338,12 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     """Certify (1-p) B(n,k,p) = p B(k,n,1-p) as M(n,k)(p) = M(k,n)(1-p).
 
     Because both sides are canonical, holds=True is a proof that the rule's
-    gender ratio equals the birth odds everywhere on (0,1).
+    gender ratio equals the birth odds everywhere on (0,1).  M takes O(n+k)
+    big-int steps, but its mirror is a Taylor shift of O((n+k)^2) additions,
+    so a certificate costs O((n+k)^2) and a grid of them the fourth power of
+    its side.  A rule too large for exact integers raises NumericError.
     """
-    _check_rule_caps(n, k)
+    as_rule((n, k))
     lhs = RationalFunction(_leibniz_numerator(n, k))
     rhs = mirror(RationalFunction(_leibniz_numerator(k, n)))
     return RatioCertificate(

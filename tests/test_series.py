@@ -206,8 +206,8 @@ class TestTruncatedMoments:
 
 CAP_RULES = [
     (n, k)
-    for n in range(symbolic.EXACT_RULE_CAP + 1)
-    for k in range(symbolic.EXACT_RULE_CAP + 1)
+    for n in range(21)
+    for k in range(21)
     if n + k
 ]
 

@@ -1,3 +1,7 @@
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from familyplan import series, symbolic
-from familyplan.errors import DomainError
+from familyplan.errors import DomainError, NumericError
 from familyplan.symbolic import Polynomial, RationalFunction, _power_product
 
 # p and 1 - p
@@ -189,11 +193,11 @@ class TestExpectedBoysExact:
     def test_two_boys_rule_is_constant(self):
         assert symbolic.expected_boys_exact(2, 0) == RationalFunction(2)
 
-    def test_rejects_zero_rule_and_cap(self):
+    def test_rejects_zero_rule_and_takes_rules_past_20(self):
         with pytest.raises(DomainError):
             symbolic.expected_boys_exact(0, 0)
-        with pytest.raises(DomainError):
-            symbolic.expected_boys_exact(symbolic.EXACT_RULE_CAP + 1, 0)
+        # B(n,0) = n: the family stops at its n-th boy
+        assert symbolic.expected_boys_exact(21, 0) == RationalFunction(21)
 
 
 def chain_scale(n: int, k: int) -> int:
@@ -219,9 +223,8 @@ def derivative_chain_boys(n: int, k: int) -> RationalFunction:
 
 
 def test_leibniz_boys_equal_derivative_chain():
-    cap = symbolic.EXACT_RULE_CAP
-    for n in range(cap + 1):
-        for k in range(cap + 1):
+    for n in range(21):
+        for k in range(21):
             if n + k < 1:
                 continue
             chain = derivative_chain_boys(n, k)
@@ -249,25 +252,57 @@ def test_cdf_numerator_equals_the_leibniz_double_loop():
                 assert build(n, k) == leibniz_double_loop(n, k), (n, k)
 
 
-@pytest.mark.parametrize("rule", [(60, 45), (200, 3), (3, 200), (150, 150)])
+@pytest.mark.parametrize("rule", [(21, 0), (0, 21), (60, 45), (200, 3), (3, 200), (150, 150)])
 @pytest.mark.parametrize("p", [0.3, 0.5, 977 / 1024, 1e-3])
 def test_uncapped_exact_boys_round_to_the_wald_value(rule, p):
     # both values are correctly rounded, so they agree bit for bit
-    boys = RationalFunction(symbolic._leibniz_numerator.__wrapped__(*rule), (0, 1))
+    boys = symbolic.expected_boys_exact(*rule)
     assert float(symbolic.evaluate_exact(boys, Fraction(p))) == series.expected_boys(rule, p, 1e-10).value
 
 
+def test_a_rule_too_large_for_exact_integers_is_a_numeric_error():
+    # a numerator of 10^20 coefficients cannot even be indexed
+    with pytest.raises(NumericError, match=r"rule \(100000000000000000000,1\) is too large"):
+        symbolic.expected_boys_exact(10**20, 1)
+    with pytest.raises(NumericError, match="too large for exact integers"):
+        symbolic.verify_ratio_identity(10**20, 1)
+
+
+def test_a_rule_too_large_for_memory_is_a_numeric_error():
+    # a numerator of 10^12 coefficients needs 8 TB, which a 1.5 GB address
+    # space turns into a MemoryError; run in a child so that the limit stays there
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    code = (
+        "from familyplan import symbolic\n"
+        "try:\n"
+        "    symbolic.expected_boys_exact(10**12, 0)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(symbolic.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+    assert proc.stdout == "NumericError rule (1000000000000,0) is too large for exact integers\n", proc.stderr
+
+
 class TestRatioIdentity:
-    @pytest.mark.parametrize("rule", [(1, 1), (2, 0), (0, 1), (3, 2)])
+    @pytest.mark.parametrize("rule", [(1, 1), (2, 0), (0, 1), (3, 2), (21, 0), (0, 21), (60, 45), (300, 300)])
     def test_anchor_rules_hold(self, rule):
         cert = symbolic.verify_ratio_identity(*rule)
         assert cert.holds
         assert cert.lhs == cert.rhs
 
     def test_whole_cap_grid_holds(self):
-        cap = symbolic.EXACT_RULE_CAP
-        for n in range(cap + 1):
-            for k in range(cap + 1):
+        for n in range(21):
+            for k in range(21):
                 if n + k < 1:
                     continue
                 assert symbolic.verify_ratio_identity(n, k).holds is True, (n, k)
@@ -275,16 +310,15 @@ class TestRatioIdentity:
     def test_sides_equal_the_multiplied_boys_functions(self):
         # the certificate compares M(n,k)(p) with M(k,n)(1-p); multiplying B
         # by 1-p and the mirrored B by p must give the same two sides
-        cap = symbolic.EXACT_RULE_CAP
-        for n in range(cap + 1):
-            for k in range(cap + 1):
+        for n in range(21):
+            for k in range(21):
                 if n + k < 1:
                     continue
                 cert = symbolic.verify_ratio_identity(n, k)
                 assert cert.lhs == symbolic.expected_boys_exact(n, k) * ONE_MINUS_P, (n, k)
                 assert cert.rhs == symbolic.mirror(symbolic.expected_boys_exact(k, n)) * P_VAR, (n, k)
 
-    @pytest.mark.parametrize("rule", [(0, 0), (21, 0), (0, 21), (True, 1), (-1, 2)])
+    @pytest.mark.parametrize("rule", [(0, 0), (True, 1), (-1, 2)])
     def test_rejects_a_rule_before_building_it(self, rule, monkeypatch):
         built = []
         monkeypatch.setattr(symbolic, "_leibniz_numerator", lambda n, k: built.append((n, k)))
@@ -351,9 +385,8 @@ def expected_min_stopping_time(n: int, k: int, p: Fraction) -> Fraction:
 def test_exact_boys_equal_wald_construction(p):
     # T = max(T_B(n), T_G(k)) = T_B(n) + T_G(k) - min(...) and Wald's identity
     # E[B] = p E[T]: a finite sum that shares nothing with the derivative algebra.
-    cap = symbolic.EXACT_RULE_CAP
-    for n in range(cap + 1):
-        for k in range(cap + 1):
+    for n in range(21):
+        for k in range(21):
             if n + k < 1:
                 continue
             wald = p * (n / p + k / (1 - p) - expected_min_stopping_time(n, k, p))
