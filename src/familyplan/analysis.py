@@ -117,12 +117,16 @@ def sweep(
     wald = any(kind in _WALD_QUANTITIES for kind in quantities)
     span = p_end - p_start
     rows: list[SweepRow] = []
-    for i in range(steps):
-        p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
-        prob = BirthProbability(p)
-        by_rule = [_rule_cells(rule, prob, quantities, wald) for rule in parsed_rules]
-        cells = [value for by_kind in zip(*by_rule) for value in by_kind]
-        rows.append(SweepRow(p=p, quantities=dict(zip(names, cells))))
+    try:
+        for i in range(steps):
+            p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
+            prob = BirthProbability(p)
+            by_rule = [_rule_cells(rule, prob, quantities, wald) for rule in parsed_rules]
+            cells = [value for by_kind in zip(*by_rule) for value in by_kind]
+            rows.append(SweepRow(p=p, quantities=dict(zip(names, cells))))
+    except MemoryError:
+        rows.clear()  # the MemoryError's traceback keeps this frame, and so rows, alive
+        raise NumericError(f"a sweep of {steps} rows is too large for memory") from None
     return rows
 
 

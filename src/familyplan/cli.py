@@ -3,8 +3,8 @@
 Subcommands: exact, simulate, verify, share, crossing, sweep.  Each one
 computes a single record, its echoed inputs and its results.  With --json
 the record is printed as one JSON envelope (command, inputs, results,
-warnings), with null for a non-finite float; otherwise the same values
-are rendered from it as key/value lines.  Exit codes: 0 success, 1
+warnings, always []: a Python warning goes to stderr), with null for a
+non-finite float; otherwise as key/value lines.  Exit codes: 0 success, 1
 domain error (invalid rule, probability, arguments), 2 numeric failure
 (overflow, no bracket, identity violation).  Each subcommand imports
 the layer it runs when it runs, so a process loads no other layer.
@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict
 from typing import Any, Callable, Iterator, Sequence
 
@@ -203,8 +202,6 @@ def _human_lines(envelope: dict[str, Any]) -> Iterator[str]:
             yield f"{key}: {', '.join(value)}"
         else:
             yield f"{key}: {value!r}"
-    for message in envelope["warnings"]:
-        yield f"warning: {message}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            inputs, results = _COMMANDS[args.command](args)
+        inputs, results = _COMMANDS[args.command](args)
     except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -291,7 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "warnings": [str(w.message) for w in caught],
+        "warnings": [],
     }
     try:
         if args.json:

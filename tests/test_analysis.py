@@ -157,6 +157,19 @@ class TestSweep:
         assert rows[0].quantities["B(1,1)"] == 1.0
         assert rows[1].quantities["G(1,1)"] == 1.5
 
+    def test_grid_too_large_for_memory_is_a_numeric_error(self, monkeypatch):
+        calls = []
+
+        def cells_until_memory_runs_out(*args):
+            calls.append(None)
+            if len(calls) > 5:
+                raise MemoryError
+            return [1.0]
+
+        monkeypatch.setattr(analysis, "_rule_cells", cells_until_memory_runs_out)
+        with pytest.raises(NumericError, match="a sweep of 9 rows is too large for memory"):
+            analysis.sweep([(1, 1)], ["F"], 0.1, 0.9, 9, 1e-10)
+
     def test_large_rule_cells_are_exact(self):
         rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
         assert rows[0].quantities["F(300,0)"] == 3000.0

@@ -359,6 +359,26 @@ class TestSweep:
         assert results["rows"] == 5
         assert results["columns"] == ["G(1,1)", "G(2,0)", "ratio(1,1)", "ratio(2,0)"]
 
+    def test_grid_too_large_for_memory_exits_two(self, tmp_path):
+        # 10^8 rows of some 400 bytes each need 40 GB, which a 300 MB
+        # address space turns into a MemoryError in the row loop
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "familyplan.cli", "sweep", "--rules", "1,1;2,0",
+             "--quantities", "F;G", "--from", "0.1", "--to", "0.9",
+             "--steps", "100000000", "--out", str(tmp_path / "never.csv")],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: a sweep of 100000000 rows is too large for memory\n"
+        assert not (tmp_path / "never.csv").exists()
+
 
 class TestGolden:
     """Every subcommand, plain and --json, successes and errors, byte for byte."""
@@ -382,8 +402,9 @@ class TestGolden:
 
 
 class TestWarnings:
-    def test_library_warnings_are_reported(self, run_cli, monkeypatch):
-        # no library call warns today; the envelope's channel stays open
+    def test_library_warnings_reach_the_caller(self, run_cli, monkeypatch):
+        # main records no warning: one from a layer goes to the caller's
+        # filters (stderr for a user, an error under the suite's filter)
         message = "a library warning"
 
         def warning_crossing(rule_a, rule_b, tol):
@@ -392,12 +413,15 @@ class TestWarnings:
 
         monkeypatch.setattr(analysis, "crossing_probability", warning_crossing)
         args = ["crossing", "--a", "1,1", "--b", "2,0"]
-        code, out, _ = run_cli(args)
+        with pytest.warns(UserWarning, match=message):
+            code, out, _ = run_cli(args)
         assert code == 0
-        assert out.endswith(f"root: 0.5\nwarning: {message}\n")
-        code, out, _ = run_cli(args + ["--json"])
+        assert out.endswith("root: 0.5\n")
+        assert "warning:" not in out
+        with pytest.warns(UserWarning, match=message):
+            code, out, _ = run_cli(args + ["--json"])
         assert code == 0
-        assert parse_json(out)["warnings"] == [message]
+        assert parse_json(out)["warnings"] == []
 
 
 class TestParserBehaviour:
