@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
-from .core import BirthProbability, Rule, _check_int, as_rule
+from .core import BirthProbability, Rule, _check_int, _dyadic, as_rule
 from .errors import BracketingError, DomainError, NumericError
 from .series import _check_tolerance, _wald_fraction, _wald_value
 from .share import _average_share
@@ -24,8 +24,7 @@ _WALD_QUANTITIES = {"F": "family_size", "G": "girls", "B": "boys", "ratio": "rat
 SWEEP_QUANTITIES = ("F", "G", "B", "ratio", "societal_share", "average_share")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point: p and the requested quantities, keyed by name."""
 
     p: float
@@ -41,23 +40,23 @@ def crossing_probability(
 
     Bisects [0, 1] on the exact sign of F_a - F_b, from cross-multiplying
     the two Wald fractions of F, and returns the first midpoint where it is
-    0, or else a midpoint once the ends are adjacent floats; tol is checked
-    but unused.  The sign keeps one value on (0, 1), and BracketingError is
-    raised, iff one rule needs at least as many boys and girls as the other,
-    i.e. iff (n_a - n_b)(k_a - k_b) >= 0; otherwise it goes like
-    (n_a - n_b)/p near 0 and (k_a - k_b)/q near 1, so the rule counts give
-    the sign at the low end without evaluating it.
+    0, or else, once the ends are adjacent floats, the one nearer the root
+    (the even one on a tie); tol is checked but unused.  The sign keeps one
+    value on (0, 1), and BracketingError is raised, iff one rule needs at
+    least as many boys and girls as the other, i.e. iff
+    (n_a - n_b)(k_a - k_b) >= 0; otherwise it goes like (n_a - n_b)/p near 0
+    and (k_a - k_b)/q near 1, so the rule counts give the sign at the low
+    end without evaluating it.
     """
     rule_a, rule_b = as_rule(rule_a), as_rule(rule_b)
     _check_tolerance(tol)
 
-    def sign(p: float) -> int:
-        prob = BirthProbability(p)
-        (num_a, dens_a), (num_b, dens_b) = (_wald_fraction(rule, prob) for rule in (rule_a, rule_b))
+    def sign(dyadic: tuple[int, int, int]) -> int:
+        (num_a, dens_a), (num_b, dens_b) = (_wald_fraction(rule, dyadic) for rule in (rule_a, rule_b))
         cross = num_a * dens_b["family_size"] - num_b * dens_a["family_size"]
         return (cross > 0) - (cross < 0)
 
-    (n_a, k_a), (n_b, k_b) = astuple(rule_a), astuple(rule_b)
+    (n_a, k_a), (n_b, k_b) = rule_a, rule_b
     if (n_a - n_b) * (k_a - k_b) >= 0:
         raise BracketingError(
             f"family sizes of rules ({n_a},{k_a}) and ({n_b},{k_b}) never change order on (0, 1)"
@@ -67,11 +66,17 @@ def crossing_probability(
     while True:
         mid = 0.5 * (low + high)
         if mid in (low, high):
-            return mid
-        s_mid = sign(mid)
+            break
+        s_mid = sign(_dyadic(BirthProbability(mid)))
         if s_mid == 0:
             return mid
         low, high = (mid, high) if s_mid == s_low else (low, mid)
+    # low, high = L/2^e, (L+1)/2^e: the sign at (2L+1)/2^(e+1), no float,
+    # picks the nearer, and a zero there is a tie, which goes to the even one
+    e = max(end.as_integer_ratio()[1] for end in (low, high)).bit_length() - 1
+    lower = int(math.ldexp(low, e))
+    s_mid = sign((2 * lower + 1, e + 1, (2 << e) - 2 * lower - 1))
+    return high if (s_mid == s_low if s_mid else lower % 2) else low
 
 
 def sweep(
@@ -136,7 +141,7 @@ def _rule_cells(rule: Rule, prob: BirthProbability, quantities: list[str], wald:
     fraction = None
     if wald:
         try:
-            fraction = _wald_fraction(rule, prob)
+            fraction = _wald_fraction(rule, _dyadic(prob))
         except NumericError:
             pass
     cells = []
@@ -160,7 +165,8 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     """Serialize sweep rows: header ``p,<names...>``, 17 significant digits, LF.
 
     Quantity names contain commas (e.g. ``F(1,1)``), so header fields are
-    quoted per RFC 4180; numeric cells never need quoting.
+    quoted per RFC 4180; numeric cells never need quoting.  A CSV too large
+    for memory raises NumericError.
     """
     if not rows:
         raise DomainError("cannot serialize an empty sweep")
@@ -168,9 +174,13 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["p"] + names)
     lines = [header.getvalue()]
-    for row in rows:
-        if list(row.quantities) != names:
-            raise DomainError("sweep rows carry inconsistent quantity names")
-        cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
-        lines.append(",".join(cells) + "\n")
-    return "".join(lines)
+    try:
+        for row in rows:
+            if list(row.quantities) != names:
+                raise DomainError("sweep rows carry inconsistent quantity names")
+            cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
+            lines.append(",".join(cells) + "\n")
+        return "".join(lines)
+    except MemoryError:
+        lines.clear()  # the MemoryError's traceback keeps this frame, and so lines, alive
+        raise NumericError(f"a CSV of {len(rows)} rows is too large for memory") from None

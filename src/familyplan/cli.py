@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Any, Callable, Iterator, Sequence
 
 from .core import BirthProbability, Rule
@@ -67,9 +66,9 @@ def _cmd_exact(args: argparse.Namespace) -> _Record:
     rule, prob, inputs = _rule_and_probability(args)
     boys, girls, size = series._wald_sum(rule, prob, args.tol, "boys", "girls", "family_size")
     results = {
-        "boys": asdict(boys),
-        "girls": asdict(girls),
-        "family_size": asdict(size),
+        "boys": boys._asdict(),
+        "girls": girls._asdict(),
+        "family_size": size._asdict(),
         "ratio": boys.value / girls.value,
         "birth_odds": prob.odds,
     }
@@ -123,7 +122,7 @@ def _cmd_share(args: argparse.Namespace) -> _Record:
     closed = share.shammai_average_share_closed_form(prob) if is_two_boys else None
     results = {
         "societal_share": societal,
-        "average_share": asdict(average),
+        "average_share": average._asdict(),
         "average_share_closed_form": closed,
         "gap": societal - average.value,
     }

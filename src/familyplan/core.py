@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NumericError
 
@@ -41,36 +40,37 @@ def _check_int(name: str, value: object, minimum: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple("Rule", [("boys_required", int), ("girls_required", int)])):
     """A stopping rule: have children until boys_required boys and
     girls_required girls are born."""
 
-    boys_required: int
-    girls_required: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("boys_required", "girls_required"):
-            _check_int(name, getattr(self, name), 0)
+    def __new__(cls, boys_required: int, girls_required: int) -> Rule:
+        _check_int("boys_required", boys_required, 0)
+        _check_int("girls_required", girls_required, 0)
+        return tuple.__new__(cls, (boys_required, girls_required))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def total_required(self) -> int:
         return self.boys_required + self.girls_required
 
 
-@dataclass(frozen=True)
-class BirthProbability:
+class BirthProbability(NamedTuple("BirthProbability", [("p", float)])):
     """Probability of a boy at each birth, strictly inside (0, 1)."""
 
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __new__(cls, p: float) -> BirthProbability:
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise DomainError(f"p must be a real number, got {p!r}")
-        if not math.isfinite(p) or not 0.0 < p < 1.0:
+        if not 0.0 < p < 1.0:  # also refuses nan and inf
             raise DomainError(f"p must lie strictly in (0, 1), got {p!r}")
-        object.__setattr__(self, "p", float(p))
+        return tuple.__new__(cls, (float(p),))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def q(self) -> float:
@@ -153,8 +153,7 @@ def stopping_pmf_components(
     return next(_pmf_addends(rule, prob, total_children))
 
 
-@dataclass(frozen=True)
-class TruncatedMoments:
+class TruncatedMoments(NamedTuple):
     """Expectations restricted to families that finish within the horizon.
 
     Every field is E[stat * 1{T <= horizon}] except mass_covered, which is

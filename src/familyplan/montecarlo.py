@@ -36,9 +36,8 @@ family indices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass
 from math import ceil, fsum, sqrt
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
 
 from .core import (
     BirthProbability,
@@ -119,8 +118,7 @@ class FamilyStream:
         return (_mix64(self._state + self._draws * _GAMMA) >> 11) * _U01
 
 
-@dataclass(frozen=True)
-class FamilyOutcome:
+class FamilyOutcome(NamedTuple):
     """One simulated family at its stopping time."""
 
     boys: int
@@ -130,8 +128,7 @@ class FamilyOutcome:
     girl_share: float
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     """Aggregate estimators with unbiased-sample-variance standard errors."""
 
     samples: int
@@ -150,7 +147,7 @@ class SimulationSummary:
 
     def to_dict(self) -> dict[str, float | int]:
         """Flat record with stable field order, for serialization."""
-        return asdict(self)
+        return self._asdict()
 
 
 def _check_cap(rule: Rule) -> None:
@@ -366,7 +363,7 @@ def run_simulation(
             table.update(dict(zip((present + low).tolist(), counts[present].tolist())))
     outcomes = [(n + max(e, 0), k + max(-e, 0), count) for e, count in table.items() if count]
 
-    means = [total / samples for total in astuple(_outcome_moments(outcomes, prob))[1:]]
+    means = [total / samples for total in _outcome_moments(outcomes, prob)[1:]]
     ses = [0.0] * len(means)
     if samples > 1:
         squares: list[list[float]] = [[] for _ in means]

@@ -15,8 +15,8 @@ E[girls/T] lives in share.py, in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .core import (
     BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _outcome_moments, _pmf_addends,
@@ -25,8 +25,7 @@ from .core import (
 from .errors import DomainError, NumericError
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A value, tail_bound and terms_used n + k, the terms of its finite sum.
 
     The sum is finite, so tail_bound, which bounds the truncation only, is 0.
@@ -53,11 +52,12 @@ def _horner(m: int, count: int, x: int, e: int) -> int:
     return total * x + (1 << e * (count - 1))  # C(m, 0) = 1, even at m = 0
 
 
-def _wald_fraction(rule: Rule, prob: BirthProbability) -> tuple[int, dict[str, int]]:
+def _wald_fraction(rule: Rule, dyadic: tuple[int, int, int]) -> tuple[int, dict[str, int]]:
     """Exact numerator of E[T] times p ("boys"), q ("girls") or 1 ("family_size"),
-    and the denominator > 0 of each: the three share the numerator."""
+    and the denominator > 0 of each, at p = a/2^e and q = c/2^e given as the
+    dyadic (a, e, c), which need not be a float: the three share the numerator."""
     n, k = rule.boys_required, rule.girls_required
-    a, e, c = _dyadic(prob)
+    a, e, c = dyadic
     try:
         # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)));
         # the shift comes first, so a rule too large for it fails before the sums run
@@ -99,7 +99,7 @@ def _wald_sum(
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
-    fraction = _wald_fraction(rule, prob)
+    fraction = _wald_fraction(rule, _dyadic(prob))
     return [
         SeriesResult(value=_wald_value(rule, prob, fraction, q), tail_bound=0.0, terms_used=rule.total_required)
         for q in quantities

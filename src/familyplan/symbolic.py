@@ -42,12 +42,11 @@ equal canonical forms, with no polynomial GCD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import as_rule
 from .errors import DomainError, NumericError
@@ -323,8 +322,7 @@ def expected_boys_exact(n: int, k: int) -> RationalFunction:
     return RationalFunction(_leibniz_numerator(n, k), (0, 1))
 
 
-@dataclass(frozen=True)
-class RatioCertificate:
+class RatioCertificate(NamedTuple):
     """Audit record for one rule: both sides of (1-p)B(n,k,p) = p B(k,n,1-p)."""
 
     boys_required: int
@@ -346,13 +344,7 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     as_rule((n, k))
     lhs = RationalFunction(_leibniz_numerator(n, k))
     rhs = mirror(RationalFunction(_leibniz_numerator(k, n)))
-    return RatioCertificate(
-        boys_required=n,
-        girls_required=k,
-        holds=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return RatioCertificate(boys_required=n, girls_required=k, holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 def evaluate_exact(f: "RationalFunction | Polynomial | int", p: Fraction) -> Fraction:

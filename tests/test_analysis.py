@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from familyplan import analysis, series, share
-from familyplan.core import BirthProbability, Rule
+from familyplan.core import Rule
 from familyplan.errors import BracketingError, DomainError, NumericError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -16,9 +16,10 @@ SMALL_RULES = [(n, k) for n in range(8) for k in range(8) if n + k]
 
 
 def _exact_sign(a, b, p):
-    """Sign of F_a - F_b at the float p, from the exact Wald fractions."""
-    prob = BirthProbability(p)
-    (num_a, dens_a), (num_b, dens_b) = (series._wald_fraction(Rule(*rule), prob) for rule in (a, b))
+    """Sign of F_a - F_b at the float or dyadic Fraction p, from the exact Wald fractions."""
+    numerator, denominator = Fraction(p).as_integer_ratio()
+    dyadic = (numerator, denominator.bit_length() - 1, denominator - numerator)
+    (num_a, dens_a), (num_b, dens_b) = (series._wald_fraction(Rule(*rule), dyadic) for rule in (a, b))
     cross = num_a * dens_b["family_size"] - num_b * dens_a["family_size"]
     return (cross > 0) - (cross < 0)
 
@@ -41,17 +42,19 @@ def _public_value(kind, rule, p):
 
 def _check_crossing_contract(a, b):
     """BracketingError iff one rule needs at least as many boys and girls as
-    the other; otherwise the root is an exact zero or a sign change to an
-    adjacent float."""
+    the other; otherwise the root is the float nearest the exact one, the
+    even one on a tie."""
     if (a[0] - b[0]) * (a[1] - b[1]) >= 0:
         with pytest.raises(BracketingError):
             analysis.crossing_probability(a, b, 1e-10)
         return
     root = analysis.crossing_probability(a, b, 1e-10)
     assert 0.0 < root < 1.0
-    at_root = _exact_sign(a, b, root)
-    neighbours = {_exact_sign(a, b, math.nextafter(root, end)) for end in (0.0, 1.0)}
-    assert at_root == 0 or any(s != at_root for s in neighbours)
+    # the exact root lies between the midpoints to the two neighbours
+    below, above = (
+        _exact_sign(a, b, (Fraction(root) + Fraction(math.nextafter(root, end))) / 2) for end in (0.0, 1.0)
+    )
+    assert below * above < 0 or (below * above == 0 and root / math.ulp(root) % 2 == 0)
 
 
 class TestCrossingProbability:
@@ -89,13 +92,31 @@ class TestCrossingProbability:
         evaluated = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, prob):
-            evaluated.append(prob.p)
-            return wald_fraction(rule, prob)
+        def recording(rule, dyadic):
+            evaluated.append(dyadic)
+            return wald_fraction(rule, dyadic)
 
         monkeypatch.setattr(analysis, "_wald_fraction", recording)
         assert analysis.crossing_probability((3000, 1), (1, 3000), 1e-10) == 0.5
-        assert evaluated == [0.5, 0.5]
+        assert evaluated == [(1, 1, 1), (1, 1, 1)]  # p = 1/2^1
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_adjacent_ends_go_to_the_nearer_and_a_tie_to_the_even(self, monkeypatch, offset):
+        # F(0,1) - F(1,0) is replaced by p - x, for x at the midpoint of two
+        # adjacent floats, or 2^-80 below or above it; one float of each pair
+        # of low ends has an even significand
+        for low in (0.6, math.nextafter(0.6, 1.0)):
+            high = math.nextafter(low, 1.0)
+            x = (Fraction(low) + Fraction(high)) / 2 + Fraction(offset, 2**80)
+
+            def fraction(rule, dyadic):
+                a, e, _ = dyadic
+                return (a, {"family_size": 1 << e}) if rule == (0, 1) else (x.numerator, {"family_size": x.denominator})
+
+            monkeypatch.setattr(analysis, "_wald_fraction", fraction)
+            even = low if low / math.ulp(low) % 2 == 0 else high
+            expected = {-1: low, 0: even, 1: high}[offset]
+            assert analysis.crossing_probability((0, 1), (1, 0), 1e-10) == expected
 
     @pytest.mark.parametrize("a", SMALL_RULES, ids=str)
     def test_contract_on_every_small_pair(self, a):
@@ -260,9 +281,9 @@ class TestSweep:
         calls = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, prob):
-            calls.append((rule, prob.p))
-            return wald_fraction(rule, prob)
+        def recording(rule, dyadic):
+            calls.append((rule, dyadic))
+            return wald_fraction(rule, dyadic)
 
         monkeypatch.setattr(series, "_wald_fraction", recording)
         monkeypatch.setattr(analysis, "_wald_fraction", recording)
@@ -297,6 +318,16 @@ class TestCsv:
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
             analysis.sweep_to_csv([])
+
+    def test_csv_too_large_for_memory_is_a_numeric_error(self):
+        class OutOfMemory(dict):
+            def values(self):
+                raise MemoryError
+
+        rows = analysis.sweep([(1, 1)], ["F"], 0.1, 0.9, 9, 1e-10)
+        rows[5] = rows[5]._replace(quantities=OutOfMemory(rows[5].quantities))
+        with pytest.raises(NumericError, match="^a CSV of 9 rows is too large for memory$"):
+            analysis.sweep_to_csv(rows)
 
     def test_every_quantity_near_the_grid_edge_is_pinned_to_the_byte(self):
         # at p = 5e-324, F, G and ratio of both rules overflow float64

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import familyplan
-from familyplan import analysis, cli, series, share, symbolic
+from familyplan import analysis, cli, core, series, share, symbolic
 
 # One entry per invocation: argv, exit code, and the exact stdout and stderr.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -74,14 +73,14 @@ class TestExact:
         calls = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, prob):
-            calls.append(prob.p)
-            return wald_fraction(rule, prob)
+        def recording(rule, dyadic):
+            calls.append(dyadic)
+            return wald_fraction(rule, dyadic)
 
         monkeypatch.setattr(series, "_wald_fraction", recording)
         code, _, _ = run_cli(["exact", "-n", "3", "-k", "2", "-p", "0.3"])
         assert code == 0
-        assert calls == [0.3]
+        assert calls == [core._dyadic(core.BirthProbability(0.3))]
 
 
 class TestSimulate:
@@ -129,7 +128,7 @@ class TestVerify:
         # no real rule fails, so the certificate is forced to
         real = symbolic.verify_ratio_identity
         monkeypatch.setattr(
-            symbolic, "verify_ratio_identity", lambda n, k: dataclasses.replace(real(n, k), holds=False)
+            symbolic, "verify_ratio_identity", lambda n, k: real(n, k)._replace(holds=False)
         )
         code, out, _ = run_cli(["verify", "--max-n", "1", "--max-k", "0"])
         assert code == 2
@@ -379,6 +378,27 @@ class TestSweep:
         assert proc.stderr == "error: a sweep of 100000000 rows is too large for memory\n"
         assert not (tmp_path / "never.csv").exists()
 
+    def test_csv_too_large_for_memory_exits_two(self, tmp_path):
+        # 530,000 rows of some 376 bytes each fit in a 300 MB address space,
+        # but not with their CSV lines as well: the rows fit up to about
+        # 650,000 rows, and rows and CSV together up to about 410,000
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "familyplan.cli", "sweep", "--rules", "1,1;2,0",
+             "--quantities", "F;G", "--from", "0.1", "--to", "0.9",
+             "--steps", "530000", "--out", str(tmp_path / "never.csv")],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: a CSV of 530000 rows is too large for memory\n"
+        assert not (tmp_path / "never.csv").exists()
+
 
 class TestGolden:
     """Every subcommand, plain and --json, successes and errors, byte for byte."""
@@ -472,10 +492,37 @@ class TestClosedOutput:
         assert "BrokenPipeError" not in stderr
 
 
+def _subcommand_argvs(out):
+    """One small run of each subcommand, by name; sweep writes its CSV to out."""
+    argvs = [
+        ["exact", "-n", "1", "-k", "1", "-p", "0.5"],
+        ["share", "-n", "2", "-k", "0", "-p", "0.5"],
+        ["verify", "--max-n", "2", "--max-k", "2"],
+        ["crossing", "--a", "1,1", "--b", "2,0"],
+        ["sweep", "--rules", "1,1", "--quantities", "F", "--from", "0.2",
+         "--to", "0.8", "--steps", "3", "--out", str(out)],
+        ["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "100"],
+    ]
+    return {argv[0]: argv for argv in argvs}
+
+
+def _fresh_run(script, *args):
+    """The last stdout line of script, run in a fresh interpreter, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 # Runs in a fresh interpreter, since the test process has imported every
 # layer and numpy already.  The last stdout line lists, after the import and
-# after each subcommand, its exit code and the familyplan modules, fractions
-# and numpy then loaded.
+# after each subcommand of the JSON argv list, its exit code and the
+# familyplan modules, fractions and numpy then loaded.
 _LAZY_LAYERS_SCRIPT = """
 import json, sys
 
@@ -485,31 +532,28 @@ def loaded():
 from familyplan.cli import main
 
 stages = [["import", 0, loaded()]]
-for argv in [
-    ["exact", "-n", "1", "-k", "1", "-p", "0.5"],
-    ["share", "-n", "2", "-k", "0", "-p", "0.5"],
-    ["verify", "--max-n", "2", "--max-k", "2"],
-    ["crossing", "--a", "1,1", "--b", "2,0"],
-    ["sweep", "--rules", "1,1", "--quantities", "F", "--from", "0.2",
-     "--to", "0.8", "--steps", "3", "--out", sys.argv[1]],
-    ["simulate", "-n", "1", "-k", "1", "-p", "0.5", "--samples", "100"],
-]:
+for argv in json.loads(sys.argv[1]):
     stages.append([argv[0], main(argv), loaded()])
 print(json.dumps(stages))
+"""
+
+# Runs one subcommand in a fresh interpreter.  The last stdout line holds its
+# exit code and the modules it loaded that the bare interpreter had not.
+_NEW_MODULES_SCRIPT = """
+import json, sys
+
+bare = set(sys.modules)
+from familyplan.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
 
 
 class TestLazyNumpy:
     def test_only_simulate_imports_numpy(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-c", _LAZY_LAYERS_SCRIPT, str(tmp_path / "sweep.csv")],
-            capture_output=True,
-            text=True,
-            env=_package_env(),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        stages = json.loads(proc.stdout.splitlines()[-1])
+        argvs = _subcommand_argvs(tmp_path / "sweep.csv")
+        stages = _fresh_run(_LAZY_LAYERS_SCRIPT, json.dumps(list(argvs.values())))
         added, before = {}, set()
         for stage, code, modules in stages:
             assert code == 0, stage
@@ -524,6 +568,19 @@ class TestLazyNumpy:
             "sweep": set(),
             "simulate": {"familyplan.montecarlo", "numpy"},
         }
+
+
+class TestImportDiet:
+    @pytest.mark.parametrize("command", _subcommand_argvs(""))
+    def test_no_subcommand_imports_dataclasses(self, command, tmp_path):
+        # dataclasses imports inspect, ast, dis and tokenize, about 10 ms of
+        # a CLI process; numpy imports inspect by itself
+        argv = _subcommand_argvs(tmp_path / "sweep.csv")[command]
+        code, loaded = _fresh_run(_NEW_MODULES_SCRIPT, *argv)
+        assert code == 0
+        assert "dataclasses" not in loaded
+        if command != "simulate":
+            assert "inspect" not in loaded
 
 
 _FRESH_PACKAGE_SCRIPT = """
@@ -547,14 +604,6 @@ class TestPackage:
         assert not hasattr(familyplan, "no_such_name")
 
     def test_dir_and_star_import_cover_every_name_before_first_use(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", _FRESH_PACKAGE_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=_package_env(),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        listed, bound = json.loads(proc.stdout)
+        listed, bound = _fresh_run(_FRESH_PACKAGE_SCRIPT)
         assert set(familyplan.__all__) <= set(listed)
         assert set(familyplan.__all__) <= set(bound)

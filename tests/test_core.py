@@ -6,14 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import analysis, core, montecarlo, series, share
+from familyplan import analysis, core, montecarlo, series, share, symbolic
 from familyplan.errors import DomainError, NumericError
 
 RULES_TO_4 = [(n, k) for n in range(5) for k in range(5) if n + k >= 1]
@@ -113,7 +112,8 @@ class TestValidation:
         with pytest.raises(DomainError):
             core.Rule(1.5, 0)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7, float("nan"), float("inf")])
+    # 10**400 is beyond float64, where math.isfinite raises OverflowError
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7, float("nan"), float("inf"), 10**400])
     def test_probability_rejects_boundary_and_outside(self, p):
         with pytest.raises(DomainError):
             core.BirthProbability(p)
@@ -145,6 +145,75 @@ class TestValidation:
         # a bool is an int to Python, but no numeric input takes one
         with pytest.raises(DomainError, match="tol must be a positive real"):
             TOL_TAKERS[entry](tol)
+
+
+# Each record with one instance of it and its field order, which is that of
+# the frozen dataclasses the records were before they became NamedTuples.
+RECORDS = {
+    "Rule": (core.Rule(2, 3), ("boys_required", "girls_required")),
+    "BirthProbability": (core.BirthProbability(0.3), ("p",)),
+    "TruncatedMoments": (
+        core.enumerate_brute_force((1, 1), 0.5, 6),
+        ("mass_covered", "boys", "girls", "total", "girl_share", "martingale"),
+    ),
+    "SeriesResult": (series.expected_boys((1, 1), 0.5, 1e-10), ("value", "tail_bound", "terms_used")),
+    "SweepRow": (analysis.sweep([(1, 1)], ["F"], 0.2, 0.8, 2, 1e-10)[0], ("p", "quantities")),
+    "FamilyOutcome": (
+        montecarlo.simulate_family((1, 1), 0.5, montecarlo.FamilyStream(0, 0)),
+        ("boys", "girls", "total", "martingale_terminal", "girl_share"),
+    ),
+    "SimulationSummary": (
+        montecarlo.run_simulation((1, 1), 0.5, 10, 0),
+        (
+            "samples", "seed", "mean_boys", "mean_girls", "mean_total", "mean_girl_share",
+            "mean_martingale", "se_boys", "se_girls", "se_total", "se_girl_share",
+            "se_martingale", "ratio_estimate",
+        ),
+    ),
+    "RatioCertificate": (
+        symbolic.verify_ratio_identity(1, 1), ("boys_required", "girls_required", "holds", "lhs", "rhs")
+    ),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_keep_their_order_and_cannot_be_assigned(self, name):
+        record, fields = RECORDS[name]
+        assert type(record).__name__ == name
+        assert record._fields == fields
+        assert tuple(record) == tuple(getattr(record, field) for field in fields)
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], getattr(record, fields[0]))
+        with pytest.raises(AttributeError):
+            record.unknown_field = 0
+
+    def test_summary_dict_keeps_the_field_order(self):
+        summary, fields = RECORDS["SimulationSummary"]
+        assert list(summary.to_dict()) == list(fields)
+        assert summary.to_dict() == summary._asdict()
+
+    def test_a_record_equals_the_plain_tuple_of_its_fields(self):
+        assert core.Rule(2, 3) == (2, 3)
+        assert core.Rule(2, 3)._replace(girls_required=1) == core.Rule(2, 1)
+        assert core.BirthProbability(0.25) == (0.25,)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: core.Rule(-1, 0), "boys_required must be >= 0, got -1"),
+            (lambda: core.Rule(0, 1.5), "girls_required must be an integer, got 1.5"),
+            (lambda: core.Rule(1, 1)._replace(boys_required=-1), "boys_required must be >= 0, got -1"),
+            (lambda: core.Rule._make((1, True)), "girls_required must be an integer, got True"),
+            (lambda: core.BirthProbability(1.5), r"p must lie strictly in \(0, 1\), got 1.5"),
+            (lambda: core.BirthProbability("0.5"), "p must be a real number, got '0.5'"),
+            (lambda: core.BirthProbability(0.5)._replace(p=2.0), r"p must lie strictly in \(0, 1\), got 2.0"),
+            (lambda: core.BirthProbability._make([math.nan]), r"p must lie strictly in \(0, 1\), got nan"),
+        ],
+    )
+    def test_replace_and_make_check_like_the_constructor(self, make, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make()
 
 
 class TestPmf:
@@ -315,7 +384,7 @@ class TestBruteForce:
                          boys / exact_p - girls / (1 - exact_p))
                 fields = [f + weight * s for f, s in zip(fields, stats)]
             result = core.enumerate_brute_force(rule, p, 25)
-            assert astuple(result) == tuple(map(float, fields)), p
+            assert tuple(result) == tuple(map(float, fields)), p
 
     def test_outcomes_have_first_satisfaction_structure(self):
         # the closing birth brings its own sex to exactly the required count,

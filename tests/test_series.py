@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -113,13 +112,13 @@ class TestGenderRatio:
         calls = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, prob):
-            calls.append(prob.p)
-            return wald_fraction(rule, prob)
+        def recording(rule, dyadic):
+            calls.append(dyadic)
+            return wald_fraction(rule, dyadic)
 
         monkeypatch.setattr(series, "_wald_fraction", recording)
         assert series.gender_ratio(rule, p, 1e-12) == expected
-        assert calls == [0.3]
+        assert calls == [core._dyadic(core.BirthProbability(0.3))]
 
     @pytest.mark.parametrize("rule", [(n, k) for n in range(4) for k in range(4) if n + k])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -200,7 +199,7 @@ class TestTruncatedMoments:
     def test_binomials_beyond_float_range(self, rule, p, horizon):
         # C(1499, 599) and C(1299, 599) exceed the largest float
         truncated = series.truncated_moments(rule, p, horizon)
-        assert all(math.isfinite(value) for value in astuple(truncated))
+        assert all(math.isfinite(value) for value in tuple(truncated))
         assert 0.0 <= truncated.mass_covered <= 1.0
 
 

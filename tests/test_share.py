@@ -112,7 +112,7 @@ class TestSocietalShare:
     @pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.77, 5e-324, 1.0 - 2.0**-53])
     def test_correctly_rounded_ratio_of_exact_girls_to_size(self, rule, p):
         prob, rule = core.as_probability(p), core.as_rule(rule)
-        numerator, denominators = series._wald_fraction(rule, prob)
+        numerator, denominators = series._wald_fraction(rule, core._dyadic(prob))
         girls, size = (Fraction(numerator, denominators[q]) for q in ("girls", "family_size"))
         assert share.societal_share(rule, p, 1e-10) == float(girls / size)
 
