@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import BirthProbability, Rule, _check_int, _dyadic, as_rule
 from .errors import BracketingError, DomainError, NumericError
@@ -97,6 +97,14 @@ def sweep(
     NumericError; the arguments are checked once, and F, G, B and ratio of
     one rule at one p share one Wald fraction.
     """
+    return list(_sweep_rows(rules, quantities, p_start, p_end, steps, tol)[1])
+
+
+def _sweep_rows(
+    rules: list[Rule | tuple[int, int]], quantities: list[str],
+    p_start: float, p_end: float, steps: int, tol: float,
+) -> tuple[list[str], Iterator[SweepRow]]:
+    """sweep's checks, all at once, then its column names and a lazy generator of its rows."""
     parsed_rules = [as_rule(r) for r in rules]
     if not parsed_rules:
         raise DomainError("at least one rule is required")
@@ -104,35 +112,27 @@ def sweep(
         raise DomainError("at least one quantity is required")
     for kind in quantities:
         if kind not in SWEEP_QUANTITIES:
-            raise DomainError(
-                f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}"
-            )
+            raise DomainError(f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}")
     _check_int("steps", steps, 2)
     if any(not isinstance(end, (int, float)) or isinstance(end, bool) for end in (p_start, p_end)):
         raise DomainError(f"the grid ends must be real numbers, got [{p_start!r}, {p_end!r}]")
     if not (0.0 < p_start < p_end < 1.0):
-        raise DomainError(
-            f"the grid must satisfy 0 < p_start < p_end < 1, got [{p_start}, {p_end}]"
-        )
+        raise DomainError(f"the grid must satisfy 0 < p_start < p_end < 1, got [{p_start}, {p_end}]")
     _check_tolerance(tol)
 
-    names = [
-        f"{kind}({rule.boys_required},{rule.girls_required})" for kind in quantities for rule in parsed_rules
-    ]
+    names = [f"{kind}({n},{k})" for kind in quantities for n, k in parsed_rules]
     wald = any(kind in _WALD_QUANTITIES for kind in quantities)
     span = p_end - p_start
-    rows: list[SweepRow] = []
-    try:
+
+    def rows() -> Iterator[SweepRow]:
         for i in range(steps):
             p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
             prob = BirthProbability(p)
             by_rule = [_rule_cells(rule, prob, quantities, wald) for rule in parsed_rules]
             cells = [value for by_kind in zip(*by_rule) for value in by_kind]
-            rows.append(SweepRow(p=p, quantities=dict(zip(names, cells))))
-    except MemoryError:
-        rows.clear()  # the MemoryError's traceback keeps this frame, and so rows, alive
-        raise NumericError(f"a sweep of {steps} rows is too large for memory") from None
-    return rows
+            yield SweepRow(p=p, quantities=dict(zip(names, cells)))
+
+    return names, rows()
 
 
 def _rule_cells(rule: Rule, prob: BirthProbability, quantities: list[str], wald: bool) -> list[float]:
@@ -165,22 +165,20 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     """Serialize sweep rows: header ``p,<names...>``, 17 significant digits, LF.
 
     Quantity names contain commas (e.g. ``F(1,1)``), so header fields are
-    quoted per RFC 4180; numeric cells never need quoting.  A CSV too large
-    for memory raises NumericError.
+    quoted per RFC 4180; numeric cells never need quoting.
     """
     if not rows:
         raise DomainError("cannot serialize an empty sweep")
-    names = list(rows[0].quantities)
+    return "".join(_csv_lines(list(rows[0].quantities), rows))
+
+
+def _csv_lines(names: list[str], rows: Iterable[SweepRow]) -> Iterator[str]:
+    """sweep_to_csv's lines, each formatted when it is asked for."""
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["p"] + names)
-    lines = [header.getvalue()]
-    try:
-        for row in rows:
-            if list(row.quantities) != names:
-                raise DomainError("sweep rows carry inconsistent quantity names")
-            cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
-            lines.append(",".join(cells) + "\n")
-        return "".join(lines)
-    except MemoryError:
-        lines.clear()  # the MemoryError's traceback keeps this frame, and so lines, alive
-        raise NumericError(f"a CSV of {len(rows)} rows is too large for memory") from None
+    yield header.getvalue()
+    for row in rows:
+        if list(row.quantities) != names:
+            raise DomainError("sweep rows carry inconsistent quantity names")
+        cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
+        yield ",".join(cells) + "\n"

@@ -146,10 +146,9 @@ def _cmd_sweep(args: argparse.Namespace) -> _Record:
     quantities = _split(
         args.quantities, f"at least one quantity is required, one of {analysis.SWEEP_QUANTITIES}"
     )
-    rows = analysis.sweep(rules, quantities, args.p_from, args.p_to, args.steps, args.tol)
-    csv_text = analysis.sweep_to_csv(rows)
+    names, rows = analysis._sweep_rows(rules, quantities, args.p_from, args.p_to, args.steps, args.tol)
     with open(args.out, "w", newline="") as handle:
-        handle.write(csv_text)
+        handle.writelines(analysis._csv_lines(names, rows))
     inputs = {
         "rules": args.rules,
         "quantities": args.quantities,
@@ -159,7 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> _Record:
         "tol": args.tol,
         "out": args.out,
     }
-    return inputs, {"out": args.out, "rows": len(rows), "columns": list(rows[0].quantities)}
+    return inputs, {"out": args.out, "rows": args.steps, "columns": names}
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], _Record]] = {

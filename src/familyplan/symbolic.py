@@ -51,6 +51,11 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import as_rule
 from .errors import DomainError, NumericError
 
+# The rules whose numerators _leibniz_numerator keeps, so that its 512 entries
+# hold at most 65 coefficients each: every verify grid (n, k <= 20) is cached,
+# while one (2000,2000) numerator alone is 1.5 MB.
+_CACHED_RULE_SIZE = 64
+
 
 def _exact(value: int) -> int:
     """An int coefficient; anything else, bool included, raises DomainError."""
@@ -316,10 +321,15 @@ def _leibniz_numerator(n: int, k: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _numerator(n: int, k: int) -> Polynomial:
+    """_leibniz_numerator(n, k), from its cache only for a small rule."""
+    return (_leibniz_numerator if n + k <= _CACHED_RULE_SIZE else _leibniz_numerator.__wrapped__)(n, k)
+
+
 def expected_boys_exact(n: int, k: int) -> RationalFunction:
     """B(n,k,p) as an exact rational function on (0,1), in O(n+k) big-int steps."""
     as_rule((n, k))
-    return RationalFunction(_leibniz_numerator(n, k), (0, 1))
+    return RationalFunction(_numerator(n, k), (0, 1))
 
 
 class RatioCertificate(NamedTuple):
@@ -342,8 +352,8 @@ def verify_ratio_identity(n: int, k: int) -> RatioCertificate:
     its side.  A rule too large for exact integers raises NumericError.
     """
     as_rule((n, k))
-    lhs = RationalFunction(_leibniz_numerator(n, k))
-    rhs = mirror(RationalFunction(_leibniz_numerator(k, n)))
+    lhs = RationalFunction(_numerator(n, k))
+    rhs = mirror(RationalFunction(_numerator(k, n)))
     return RatioCertificate(boys_required=n, girls_required=k, holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 

@@ -178,19 +178,6 @@ class TestSweep:
         assert rows[0].quantities["B(1,1)"] == 1.0
         assert rows[1].quantities["G(1,1)"] == 1.5
 
-    def test_grid_too_large_for_memory_is_a_numeric_error(self, monkeypatch):
-        calls = []
-
-        def cells_until_memory_runs_out(*args):
-            calls.append(None)
-            if len(calls) > 5:
-                raise MemoryError
-            return [1.0]
-
-        monkeypatch.setattr(analysis, "_rule_cells", cells_until_memory_runs_out)
-        with pytest.raises(NumericError, match="a sweep of 9 rows is too large for memory"):
-            analysis.sweep([(1, 1)], ["F"], 0.1, 0.9, 9, 1e-10)
-
     def test_large_rule_cells_are_exact(self):
         rows = analysis.sweep([(300, 0)], ["F"], 0.1, 0.5, 2, 1e-10)
         assert rows[0].quantities["F(300,0)"] == 3000.0
@@ -318,16 +305,6 @@ class TestCsv:
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
             analysis.sweep_to_csv([])
-
-    def test_csv_too_large_for_memory_is_a_numeric_error(self):
-        class OutOfMemory(dict):
-            def values(self):
-                raise MemoryError
-
-        rows = analysis.sweep([(1, 1)], ["F"], 0.1, 0.9, 9, 1e-10)
-        rows[5] = rows[5]._replace(quantities=OutOfMemory(rows[5].quantities))
-        with pytest.raises(NumericError, match="^a CSV of 9 rows is too large for memory$"):
-            analysis.sweep_to_csv(rows)
 
     def test_every_quantity_near_the_grid_edge_is_pinned_to_the_byte(self):
         # at p = 5e-324, F, G and ratio of both rules overflow float64

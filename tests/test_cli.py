@@ -336,15 +336,47 @@ class TestSweep:
         assert float(mid[1]) == pytest.approx(3.0, abs=1e-8)
         assert float(mid[2]) == pytest.approx(4.0, abs=1e-8)
 
-    def test_invalid_arguments_produce_no_file(self, run_cli, tmp_path):
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"--rules": ";"},
+            {"--rules": "1"},
+            {"--rules": "0,0"},
+            {"--quantities": "nope"},
+            {"--steps": "1"},
+            {"--from": "0.9", "--to": "0.1"},
+            {"--from": "0"},
+            {"--tol": "0"},
+        ],
+        ids=lambda changed: " ".join(f"{key} {value}" for key, value in changed.items()),
+    )
+    def test_invalid_arguments_produce_no_file(self, run_cli, tmp_path, changed):
+        # every argument is checked before --out is opened
+        options = {"--rules": "1,1", "--quantities": "F", "--from": "0.1", "--to": "0.9",
+                   "--steps": "9", "--tol": "1e-10", **changed}
+        argv = ["sweep", *(item for pair in options.items() for item in pair)]
         out_path = tmp_path / "never.csv"
-        code, _, err = run_cli(
-            ["sweep", "--rules", "1,1", "--quantities", "nope",
+        code, _, err = run_cli([*argv, "--out", str(out_path)])
+        assert code == 1
+        assert not out_path.exists()
+        assert err.startswith("error:")
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"p,old\n")
+        code, _, _ = run_cli([*argv, "--out", str(kept)])
+        assert code == 1
+        assert kept.read_bytes() == b"p,old\n"
+
+    def test_out_in_a_missing_directory_exits_one(self, run_cli, tmp_path):
+        out_path = tmp_path / "missing" / "s.csv"
+        code, out, err = run_cli(
+            ["sweep", "--rules", "1,1", "--quantities", "F",
              "--from", "0.1", "--to", "0.9", "--steps", "9", "--out", str(out_path)]
         )
         assert code == 1
-        assert not out_path.exists()
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_json_reports_columns(self, run_cli, tmp_path):
         out_path = tmp_path / "g.csv"
@@ -358,46 +390,18 @@ class TestSweep:
         assert results["rows"] == 5
         assert results["columns"] == ["G(1,1)", "G(2,0)", "ratio(1,1)", "ratio(2,0)"]
 
-    def test_grid_too_large_for_memory_exits_two(self, tmp_path):
-        # 10^8 rows of some 400 bytes each need 40 GB, which a 300 MB
-        # address space turns into a MemoryError in the row loop
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # each row is written as it is computed: holding the rows of 100,000
+        # steps, or their CSV, would take some 65 MB more than 2,000 steps
+        def peak_kb(steps):
+            argv = ["sweep", "--rules", "1,1;2,0", "--quantities", "F;G", "--from", "0.1",
+                    "--to", "0.9", "--steps", str(steps), "--out", str(tmp_path / "s.csv")]
+            code, peak = _fresh_run(_PEAK_RSS_SCRIPT, *argv)
+            assert code == 0
+            return peak
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "familyplan.cli", "sweep", "--rules", "1,1;2,0",
-             "--quantities", "F;G", "--from", "0.1", "--to", "0.9",
-             "--steps", "100000000", "--out", str(tmp_path / "never.csv")],
-            capture_output=True,
-            text=True,
-            env=_package_env(),
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == "error: a sweep of 100000000 rows is too large for memory\n"
-        assert not (tmp_path / "never.csv").exists()
-
-    def test_csv_too_large_for_memory_exits_two(self, tmp_path):
-        # 530,000 rows of some 376 bytes each fit in a 300 MB address space,
-        # but not with their CSV lines as well: the rows fit up to about
-        # 650,000 rows, and rows and CSV together up to about 410,000
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "familyplan.cli", "sweep", "--rules", "1,1;2,0",
-             "--quantities", "F;G", "--from", "0.1", "--to", "0.9",
-             "--steps", "530000", "--out", str(tmp_path / "never.csv")],
-            capture_output=True,
-            text=True,
-            env=_package_env(),
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == "error: a CSV of 530000 rows is too large for memory\n"
-        assert not (tmp_path / "never.csv").exists()
+        assert peak_kb(100_000) - peak_kb(2_000) < 8 * 1024
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 2_001
 
 
 class TestGolden:
@@ -535,6 +539,20 @@ stages = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     stages.append([argv[0], main(argv), loaded()])
 print(json.dumps(stages))
+"""
+
+# Runs one subcommand in a fresh interpreter.  The last stdout line holds its
+# exit code and the peak resident memory of its own image, in KB: Linux's
+# VmHWM, since ru_maxrss keeps the high-water mark of the process that
+# spawned it (pytest's, here) across fork and exec.
+_PEAK_RSS_SCRIPT = """
+import json, sys
+from familyplan.cli import main
+
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, peak]))
 """
 
 # Runs one subcommand in a fresh interpreter.  The last stdout line holds its

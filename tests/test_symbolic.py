@@ -326,6 +326,25 @@ class TestRatioIdentity:
             symbolic.verify_ratio_identity(*rule)
         assert built == []
 
+    def test_large_rule_numerators_are_not_kept(self):
+        # one (300,300) numerator has 601 coefficients of up to 600 bits
+        symbolic.verify_ratio_identity(300, 300)
+        before = symbolic._leibniz_numerator.cache_info()
+        symbolic.verify_ratio_identity(300, 300)
+        symbolic.expected_boys_exact(300, 300)
+        assert symbolic._leibniz_numerator.cache_info() == before
+
+    def test_repeated_small_grid_builds_no_new_numerator(self):
+        grid = [(n, k) for n in range(3) for k in range(3) if n + k]
+        for rule in grid:
+            symbolic.verify_ratio_identity(*rule)
+        before = symbolic._leibniz_numerator.cache_info()
+        for rule in grid:
+            symbolic.verify_ratio_identity(*rule)
+        after = symbolic._leibniz_numerator.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2 * len(grid)
+
 
 class TestEvaluateExact:
     def test_one_each_rule_at_even_odds(self):
