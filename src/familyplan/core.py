@@ -17,15 +17,15 @@ This module also hosts the brute-force oracle, the independent ground truth
 for every truncated expectation in the package.  It counts the birth
 sequences one birth at a time, by additions alone, so it shares no algebra
 with the series machinery, and it keeps one count per (boys, girls)
-outcome, so the moment sums, like those of the pmf and the sampler, take
-one entry per outcome.
+outcome.  It and series.truncated_moments, whose weights come from
+binomial ratios instead, round the same exact sums once, in
+_exact_moments, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from math import fsum
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NumericError
@@ -112,13 +112,14 @@ def as_probability(p: BirthProbability | float) -> BirthProbability:
     return BirthProbability(p)
 
 
-def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[float, float]]:
-    """The (boy-last, girl-last) addends of P(T = t), then of P(T = t + 1), ...
+def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[int, int, int]]:
+    """The (boy-last, girl-last) numerators of P(T = t) and their denominator
+    2^(e*t), then those of P(T = t + 1), ...
 
-    With p = a/2^e and q = c/2^e the boy-last addend is the integer
-    C(t-1, n-1) a^n c^(t-n) over 2^(e*t), rounded once, and t -> t + 1
-    multiplies that integer by t c / (t - n + 1) exactly; the girl-last
-    addend likewise, with a and c swapped.  t must be at least n + k.
+    With p = a/2^e and q = c/2^e the boy-last numerator is the integer
+    C(t-1, n-1) a^n c^(t-n), and t -> t + 1 multiplies it by
+    t c / (t - n + 1) exactly; the girl-last one likewise, with a and c
+    swapped.  t must be at least n + k.
     """
     n, k = rule.boys_required, rule.girls_required
     a, e, c = _dyadic(prob)
@@ -126,8 +127,7 @@ def _pmf_addends(rule: Rule, prob: BirthProbability, t: int) -> Iterator[tuple[f
         boys = math.comb(t - 1, n - 1) * a**n * c ** (t - n) if n else 0
         girls = math.comb(t - 1, k - 1) * a ** (t - k) * c**k if k else 0
         while True:
-            scale = 1 << e * t
-            yield boys / scale, girls / scale
+            yield boys, girls, 1 << e * t
             boys = boys * t * c // (t - n + 1)
             girls = girls * t * a // (t - k + 1)
             t += 1
@@ -150,7 +150,8 @@ def stopping_pmf_components(
     _check_int("total_children", total_children, 1)
     if total_children < rule.total_required:
         return (0.0, 0.0)
-    return next(_pmf_addends(rule, prob, total_children))
+    boys, girls, scale = next(_pmf_addends(rule, prob, total_children))
+    return boys / scale, girls / scale
 
 
 class TruncatedMoments(NamedTuple):
@@ -158,7 +159,7 @@ class TruncatedMoments(NamedTuple):
 
     Every field is E[stat * 1{T <= horizon}] except mass_covered, which is
     P(T <= horizon).  girl_share weights girls/T, martingale weights
-    boys/p - girls/(1-p).
+    boys/p - girls/(1-p).  Each field is correctly rounded at the float p.
     """
 
     mass_covered: float
@@ -174,7 +175,7 @@ def _family_statistics(
 ) -> tuple[int, int, int, float, float]:
     """The (boys, girls, total, girl share, martingale) of one stopped family.
 
-    The order is that of the TruncatedMoments fields after mass_covered.
+    The order is that of the means in montecarlo.SimulationSummary.
     The martingale boys/p - girls/(1-p) has mean zero at the stopping time
     (optional stopping).
     """
@@ -182,27 +183,41 @@ def _family_statistics(
     return boys, girls, total, girls / total, boys / prob.p - girls / prob.q
 
 
-def _outcome_moments(
-    entries: Iterable[tuple[int, int, float]], prob: BirthProbability
+def _exact_moments(
+    entries: Iterable[tuple[int, int, int]], horizon: int, prob: BirthProbability
 ) -> TruncatedMoments:
-    """Sum weight and weight * statistic over (boys, girls, weight) entries,
-    one entry per outcome.
+    """The moments of (boys, girls, weight) entries, one per outcome, each
+    weight an integer over 2^(e*horizon) with p = a/2^e and q = c/2^e.
 
-    One fsum per field, so each field is the correctly rounded sum of its
-    products, whatever the order of the entries.
+    Each field sums its integer numerators and divides once, so it is
+    correctly rounded: girl_share scales girls/T by the lcm of the totals
+    present to stay in integers, and the martingale boys/p - girls/q is
+    2^e (boys c - girls a)/(a c).
     """
-    mass: list[float] = []
-    weighted: list[list[float]] = [[] for _ in range(5)]
-    boys_w, girls_w, total_w, share_w, martingale_w = weighted
-    for boys, girls, weight in entries:
-        b, g, total, share, martingale = _family_statistics(boys, girls, prob)
-        mass.append(weight)
-        boys_w.append(weight * b)
-        girls_w.append(weight * g)
-        total_w.append(weight * total)
-        share_w.append(weight * share)
-        martingale_w.append(weight * martingale)
-    return TruncatedMoments(fsum(mass), *map(fsum, weighted))
+    a, e, c = _dyadic(prob)
+    mass = boys_sum = girls_sum = share_sum = martingale_sum = 0
+    lcm = 1
+    try:
+        for boys, girls, weight in entries:
+            total = boys + girls
+            grown = math.lcm(lcm, total)
+            share_sum, lcm = share_sum * (grown // lcm), grown
+            mass += weight
+            boys_sum += weight * boys
+            girls_sum += weight * girls
+            share_sum += weight * (lcm // total * girls)
+            martingale_sum += weight * (boys * c - girls * a)
+        scale = 1 << e * horizon
+    except (OverflowError, MemoryError):
+        raise NumericError(f"the moments over {horizon} births are too large for exact integers") from None
+    return TruncatedMoments(
+        mass / scale,
+        boys_sum / scale,
+        girls_sum / scale,
+        (boys_sum + girls_sum) / scale,
+        share_sum / (scale * lcm),
+        (martingale_sum << e) / (a * c * scale),
+    )
 
 
 def _stopped_sequences(n: int, k: int, limit: int) -> Counter[tuple[int, int]]:
@@ -238,12 +253,9 @@ def enumerate_brute_force(
 
     Each stopped sequence has probability p^boys * (1-p)^girls, so with
     p = a/2^e, q = c/2^e and H = max_children an outcome of T births weighs
-    its count of sequences times a^boys c^girls 2^(e(H-T)) over 2^(eH).
-    Each field sums its integer numerators and divides once, so it is
-    correctly rounded: girl_share scales by lcm(1..H)/T to stay in integers,
-    and the martingale boys/p - girls/q is 2^e (boys c - girls a)/(a c).
-    Truncated expectations here come straight from the sample space with no
-    series algebra involved.
+    its count of sequences times a^boys c^girls 2^(e(H-T)) over 2^(eH), and
+    _exact_moments rounds each field once.  Truncated expectations here come
+    straight from the sample space with no series algebra involved.
     """
     rule = as_rule(rule)
     prob = as_probability(p)
@@ -252,32 +264,19 @@ def enumerate_brute_force(
     n, k = rule.boys_required, rule.girls_required
     counts = _stopped_sequences(n, k, max_children)
     a, e, c = _dyadic(prob)
-    lcm = math.lcm(*range(1, max_children + 1))
-    mass = boys_sum = girls_sum = share_sum = martingale_sum = 0
-    # A family stops at its n-th boy or its k-th girl, so every outcome lies
-    # on the line boys = n or girls = k.  Each line is walked out from
-    # (n, k) with one running power a^boys c^girls; pop counts the corner once.
-    corner = a**n * c**k
-    for step, line in (
-        (c, [(n, girls) for girls in range(k, max_children - n + 1)]),
-        (a, [(boys, k) for boys in range(n, max_children - k + 1)]),
-    ):
-        power = corner
-        for boys, girls in line:
-            total = boys + girls
-            weight = counts.pop((boys, girls), 0) * power << e * (max_children - total)
-            power *= step
-            mass += weight
-            boys_sum += weight * boys
-            girls_sum += weight * girls
-            share_sum += weight * (lcm // total * girls)
-            martingale_sum += weight * (boys * c - girls * a)
-    scale = 1 << e * max_children
-    return TruncatedMoments(
-        mass / scale,
-        boys_sum / scale,
-        girls_sum / scale,
-        (boys_sum + girls_sum) / scale,
-        share_sum / (scale * lcm),
-        martingale_sum / (a * c << e * (max_children - 1)),
-    )
+
+    def entries() -> Iterator[tuple[int, int, int]]:
+        # A family stops at its n-th boy or its k-th girl, so every outcome lies
+        # on the line boys = n or girls = k.  Each line is walked out from
+        # (n, k) with one running power a^boys c^girls; pop counts the corner once.
+        corner = a**n * c**k
+        for step, line in (
+            (c, [(n, girls) for girls in range(k, max_children - n + 1)]),
+            (a, [(boys, k) for boys in range(n, max_children - k + 1)]),
+        ):
+            power = corner
+            for boys, girls in line:
+                yield boys, girls, counts.pop((boys, girls), 0) * power << e * (max_children - boys - girls)
+                power *= step
+
+    return _exact_moments(entries(), max_children, prob)

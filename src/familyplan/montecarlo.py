@@ -44,7 +44,6 @@ from .core import (
     Rule,
     _check_int,
     _family_statistics,
-    _outcome_moments,
     as_probability,
     as_rule,
 )
@@ -361,17 +360,15 @@ def run_simulation(
             counts = np.bincount(outcome - low)
             present = np.flatnonzero(counts)
             table.update(dict(zip((present + low).tolist(), counts[present].tolist())))
-    outcomes = [(n + max(e, 0), k + max(-e, 0), count) for e, count in table.items() if count]
-
-    means = [total / samples for total in _outcome_moments(outcomes, prob)[1:]]
-    ses = [0.0] * len(means)
-    if samples > 1:
-        squares: list[list[float]] = [[] for _ in means]
-        for boys, girls, count in outcomes:
-            stats = _family_statistics(boys, girls, prob)
-            for column, stat, mean in zip(squares, stats, means):
-                column.append(count * (stat - mean) ** 2)
-        ses = [sqrt(fsum(column) / (samples - 1)) / sqrt(samples) for column in squares]
+    rows = [
+        (count, _family_statistics(n + max(e, 0), k + max(-e, 0), prob)) for e, count in table.items() if count
+    ]
+    means = [fsum(count * stats[i] for count, stats in rows) / samples for i in range(5)]
+    ses = [
+        sqrt(fsum(count * (stats[i] - mean) ** 2 for count, stats in rows) / (samples - 1)) / sqrt(samples)
+        if samples > 1 else 0.0
+        for i, mean in enumerate(means)
+    ]
 
     mean_boys, mean_girls = means[:2]
     ratio = mean_boys / mean_girls if mean_girls != 0.0 else float("inf")

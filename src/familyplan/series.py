@@ -19,7 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from .core import (
-    BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _outcome_moments, _pmf_addends,
+    BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _exact_moments, _pmf_addends,
     as_probability, as_rule,
 )
 from .errors import DomainError, NumericError
@@ -175,19 +175,21 @@ def truncated_moments(
 ) -> TruncatedMoments:
     """The pmf-weighted partial sums of the moments over families with T <= max_children.
 
-    Directly comparable with core.enumerate_brute_force over the same horizon.
+    Each pmf addend's exact numerator is shifted to 2^(e*max_children), with
+    p = a/2^e, and core._exact_moments rounds each field once, so the result
+    equals core.enumerate_brute_force over the same horizon bit for bit.
     """
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_int("max_children", max_children, 1)
 
     n, k = rule.boys_required, rule.girls_required
+    e = _dyadic(prob)[1]
 
-    def addends():
+    def entries():
         pmf = _pmf_addends(rule, prob, rule.total_required)
-        for t in range(rule.total_required, max_children + 1):
-            boy_last, girl_last = next(pmf)
-            yield n, t - n, boy_last
-            yield t - k, k, girl_last
+        for t, (boy_last, girl_last, _) in zip(range(rule.total_required, max_children + 1), pmf):
+            yield n, t - n, boy_last << e * (max_children - t)
+            yield t - k, k, girl_last << e * (max_children - t)
 
-    return _outcome_moments(addends(), prob)
+    return _exact_moments(entries(), max_children, prob)

@@ -51,9 +51,10 @@ def _atanh(num: int, den: int, bits: int) -> tuple[int, int]:
     and the tail once a power floors to 0 is under (9/8)^2: under 2 * odd.
     """
     power, total, odd = (abs(num) << bits) // den, 0, 1
+    num_2, den_2 = num * num, den * den
     while power:
         total += power // odd
-        power = power * num * num // (den * den)
+        power = power * num_2 // den_2
         odd += 2
     return (total if num >= 0 else -total), 2 * odd
 

@@ -95,10 +95,8 @@ def test_criterion_4_series_matches_brute_force():
                 for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                     truncated = series.truncated_moments((n, k), p, horizon)
                     oracle = core.enumerate_brute_force((n, k), p, horizon)
-                    for field in ("mass_covered", "boys", "girls", "total", "girl_share"):
-                        got = getattr(truncated, field)
-                        want = getattr(oracle, field)
-                        assert abs(got - want) <= 1e-12, (n, k, p, field)
+                    for field in ("mass_covered", "boys", "girls", "total", "girl_share", "martingale"):
+                        assert getattr(truncated, field) == getattr(oracle, field), (n, k, p, field)
 
 
 def test_criterion_5_golden_ratio_crossing(run_cli):

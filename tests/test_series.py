@@ -188,12 +188,33 @@ class TestTruncatedMoments:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_partial_sums_match_brute_force(self, rule, p):
         horizon = 20
-        truncated = series.truncated_moments(rule, p, horizon)
-        oracle = core.enumerate_brute_force(rule, p, horizon)
-        for name in ("mass_covered", "boys", "girls", "total", "girl_share", "martingale"):
-            assert getattr(truncated, name) == pytest.approx(
-                getattr(oracle, name), abs=1e-12
-            ), name
+        assert series.truncated_moments(rule, p, horizon) == core.enumerate_brute_force(rule, p, horizon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10),
+        st.integers(0, 10),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([5e-324, 1.0 - 2.0**-53]),
+        ),
+        st.data(),
+    )
+    def test_every_field_equals_brute_force(self, n, k, p, data):
+        # both round the same exact sums once, from weights built apart:
+        # binomial ratios for the pmf, additions for brute force
+        assume(n + k >= 1)
+        horizon = data.draw(st.integers(1, n + k + 60), label="horizon")
+        truncated = series.truncated_moments((n, k), p, horizon)
+        oracle = core.enumerate_brute_force((n, k), p, horizon)
+        assert tuple(truncated) == tuple(oracle)
+
+    def test_cancelling_martingale_is_correctly_rounded(self):
+        # the pmf's terms cancel to about 2.59e-34; summing rounded addends
+        # read -1.33e-16 here
+        truncated = series.truncated_moments((3, 0), 0.9, 41)
+        assert truncated == core.enumerate_brute_force((3, 0), 0.9, 41)
+        assert truncated.martingale == 2.5903799999999782e-34
 
     @pytest.mark.parametrize("rule,p,horizon", [((600, 0), 0.5, 1500), ((10, 600), 0.3, 1300)])
     def test_binomials_beyond_float_range(self, rule, p, horizon):
