@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .core import BirthProbability, Rule, _check_int, _dyadic, as_rule
+from .core import _SMALL_RULE_SIZE, BirthProbability, Rule, _check_int, _dyadic, as_rule
 from .errors import BracketingError, DomainError, NumericError
-from .series import _check_tolerance, _wald_fraction, _wald_value
-from .share import _average_share
+from .series import _check_tolerance, _wald_binomials, _wald_fraction, _wald_value
+from .share import _average_share, _share_terms
 
 # the _wald_value quantity behind each Wald column
 _WALD_QUANTITIES = {"F": "family_size", "G": "girls", "B": "boys", "ratio": "ratio"}
@@ -94,8 +94,9 @@ def sweep(
     has a value.  Rows are ordered by grid index; columns by quantity kind,
     then rule.  Each cell equals its public function (expected_*, gender_ratio,
     societal_share, average_share) bit for bit, and is NaN where that raises
-    NumericError; the arguments are checked once, and F, G, B and ratio of
-    one rule at one p share one Wald fraction.
+    NumericError; the arguments are checked once, a rule or quantity given
+    twice is a DomainError, F, G, B and ratio of one rule at one p share one
+    Wald fraction, and the average shares of one p share its logarithms.
     """
     return list(_sweep_rows(rules, quantities, p_start, p_end, steps, tol)[1])
 
@@ -113,6 +114,12 @@ def _sweep_rows(
     for kind in quantities:
         if kind not in SWEEP_QUANTITIES:
             raise DomainError(f"unknown quantity {kind!r}; expected one of {SWEEP_QUANTITIES}")
+    for index, (n, k) in enumerate(parsed_rules):
+        if (n, k) in parsed_rules[:index]:
+            raise DomainError(f"rule ({n},{k}) is given twice; a sweep takes each rule once")
+    for index, kind in enumerate(quantities):
+        if kind in quantities[:index]:
+            raise DomainError(f"quantity {kind!r} is given twice; a sweep takes each quantity once")
     _check_int("steps", steps, 2)
     if any(not isinstance(end, (int, float)) or isinstance(end, bool) for end in (p_start, p_end)):
         raise DomainError(f"the grid ends must be real numbers, got [{p_start!r}, {p_end!r}]")
@@ -121,44 +128,58 @@ def _sweep_rows(
     _check_tolerance(tol)
 
     names = [f"{kind}({n},{k})" for kind in quantities for n, k in parsed_rules]
+    kinds = [_WALD_QUANTITIES.get(kind, kind) for kind in quantities]  # a Wald one as _wald_value's
     wald = any(kind in _WALD_QUANTITIES for kind in quantities)
+    binomials, terms = zip(*[_rule_tables(rule, wald, "average_share" in quantities) for rule in parsed_rules])
     span = p_end - p_start
 
     def rows() -> Iterator[SweepRow]:
         for i in range(steps):
             p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
             prob = BirthProbability(p)
-            by_rule = [_rule_cells(rule, prob, quantities, wald) for rule in parsed_rules]
-            cells = [value for by_kind in zip(*by_rule) for value in by_kind]
+            dyadic = _dyadic(prob)
+            fractions = [
+                _or_else(None, _wald_fraction, r, dyadic, b) for r, b in zip(parsed_rules, binomials) if wald
+            ]
+            logs: dict = {}  # each precision's logarithms, once for all the row's rules
+            cells: list[float] = []
+            for kind in kinds:
+                if kind == "average_share":
+                    cells += [
+                        _or_else(math.nan, _average_share, r, prob, dyadic, logs, t)
+                        for r, t in zip(parsed_rules, terms)
+                    ]
+                elif kind == "societal_share":
+                    cells += [prob.q] * len(parsed_rules)
+                else:
+                    cells += [
+                        math.nan if f is None else _or_else(math.nan, _wald_value, r, prob, f, kind)
+                        for r, f in zip(parsed_rules, fractions)
+                    ]
             yield SweepRow(p=p, quantities=dict(zip(names, cells)))
 
     return names, rows()
 
 
-def _rule_cells(rule: Rule, prob: BirthProbability, quantities: list[str], wald: bool) -> list[float]:
-    """One rule's cells at one p, in the order of quantities, from at most
-    one Wald fraction; NaN where the public function raises NumericError."""
-    fraction = None
-    if wald:
-        try:
-            fraction = _wald_fraction(rule, _dyadic(prob))
-        except NumericError:
-            pass
-    cells = []
-    for kind in quantities:
-        try:
-            if kind == "societal_share":
-                value = prob.q
-            elif kind == "average_share":
-                value = _average_share(rule, prob)
-            elif fraction is None:
-                value = math.nan
-            else:
-                value = _wald_value(rule, prob, fraction, _WALD_QUANTITIES[kind])
-        except NumericError:
-            value = math.nan
-        cells.append(value)
-    return cells
+def _or_else(failed: Any, function: Callable[..., Any], *args: Any) -> Any:
+    """function(*args), or failed where it raises NumericError."""
+    try:
+        return function(*args)
+    except NumericError:
+        return failed
+
+
+def _rule_tables(rule: Rule, wald: bool, shares: bool) -> tuple[tuple | None, tuple | None]:
+    """What a sweep builds once for a rule and passes to each row: the rule's
+    _wald_binomials if wald and n, k >= 1, and its _share_terms if shares.
+    Each is None where not asked for, and both for a rule of more than
+    _SMALL_RULE_SIZE children (a table holds some (n+k)^2 bits), whose sums
+    make their own integers, as a one-shot call's do."""
+    n, k = rule
+    if n + k > _SMALL_RULE_SIZE:
+        return None, None
+    binomials = tuple(map(tuple, _wald_binomials(n, k))) if wald and n and k else None
+    return binomials, _share_terms(rule) if shares else None
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -177,8 +198,8 @@ def _csv_lines(names: list[str], rows: Iterable[SweepRow]) -> Iterator[str]:
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["p"] + names)
     yield header.getvalue()
+    line = ",".join(["%.17g"] * (len(names) + 1)) + "\n"
     for row in rows:
         if list(row.quantities) != names:
             raise DomainError("sweep rows carry inconsistent quantity names")
-        cells = [f"{row.p:.17g}"] + [f"{value:.17g}" for value in row.quantities.values()]
-        yield ",".join(cells) + "\n"
+        yield line % (row.p, *row.quantities.values())

@@ -30,6 +30,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NumericError
 
+# The most children of a rule whose integers that depend on the rule alone are
+# kept past one call: symbolic's cached Leibniz numerators and a sweep's tables
+_SMALL_RULE_SIZE = 64
+
 
 def _check_int(name: str, value: object, minimum: int | None = None) -> int:
     """Return value if it is an int (not a bool) and at least minimum."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from math import comb
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _exact_moments, _pmf_addends,
@@ -43,27 +43,49 @@ def _check_tolerance(tol: float) -> float:
     return float(tol)
 
 
-def _horner(m: int, count: int, x: int, e: int) -> int:
-    """sum_{j<count} C(m+j, j) x^j 2^(e*(count-1-j)), by Horner in x; count >= 1."""
-    total, coefficient = 0, comb(m + count - 1, count - 1)
+def _binomials(m: int, count: int) -> Iterator[int]:
+    """C(m+j, j) for j = count-1 down to 0, each from the one before; count >= 1."""
+    coefficient = comb(m + count - 1, count - 1)
     for j in range(count - 1, 0, -1):
-        total = total * x + (coefficient << e * (count - 1 - j))
+        yield coefficient
         coefficient = coefficient * j // (m + j)
-    return total * x + (1 << e * (count - 1))  # C(m, 0) = 1, even at m = 0
+    yield 1  # C(m, 0) = 1, even at m = 0
 
 
-def _wald_fraction(rule: Rule, dyadic: tuple[int, int, int]) -> tuple[int, dict[str, int]]:
+def _wald_binomials(n: int, k: int) -> tuple[Iterable[int], Iterable[int]]:
+    """The coefficients of E[min]'s two sums for n, k >= 1, C(n+g, g) for g < k
+    and C(k+b, b) for b < n, highest first, made as _horner asks for them."""
+    return _binomials(n, k), _binomials(k, n)
+
+
+def _horner(coefficients: Iterable[int], x: int, e: int) -> int:
+    """sum_j C_j x^j 2^(e*(count-1-j)) by Horner in x, from C_(count-1) down to C_0."""
+    total, shift = 0, 0
+    for coefficient in coefficients:
+        total = total * x + (coefficient << shift)
+        shift += e
+    return total
+
+
+def _wald_fraction(
+    rule: Rule,
+    dyadic: tuple[int, int, int],
+    binomials: tuple[Iterable[int], Iterable[int]] | None = None,
+) -> tuple[int, dict[str, int]]:
     """Exact numerator of E[T] times p ("boys"), q ("girls") or 1 ("family_size"),
     and the denominator > 0 of each, at p = a/2^e and q = c/2^e given as the
-    dyadic (a, e, c), which need not be a float: the three share the numerator."""
+    dyadic (a, e, c), which need not be a float: the three share the numerator.
+    binomials are _wald_binomials(n, k), which a sweep builds once per
+    rule; without them the sums make their own."""
     n, k = rule.boys_required, rule.girls_required
     a, e, c = dyadic
     try:
         # mins is E[min] * 2^(e*(n+k-1)), and E[T] = numerator / (a * c * 2^(e*(n+k-1)));
         # the shift comes first, so a rule too large for it fails before the sums run
         numerator = (n * c + k * a) << e * (n + k)
-        mins = n * a**n * _horner(n, k, c, e) + k * c**k * _horner(k, n, a, e) if n and k else 0
-        numerator -= a * c * mins
+        if n and k:
+            below, above = binomials or _wald_binomials(n, k)
+            numerator -= a * c * (n * a**n * _horner(below, c, e) + k * c**k * _horner(above, a, e))
         shift = e * (n + k - 1)
         return numerator, {"boys": c << e + shift, "girls": a << e + shift, "family_size": a * c << shift}
     except (OverflowError, MemoryError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .core import BirthProbability, Rule, _dyadic, as_probability, as_rule
 from .errors import NumericError
@@ -26,7 +27,7 @@ from .series import SeriesResult, _check_tolerance
 _GUARD_BITS = 64
 _ZIV_ROUNDS = 8
 # The precisions _ln_2 keeps, so that it holds at most 128 values of 512 bytes:
-# a sweep of rules up to (6,6) asks for at most 204 bits, while (40,40) at
+# a sweep of rules up to (6,6) asks for at most 224 bits, while (40,40) at
 # p = 5e-324 asks for 43040, and each further Ziv round doubles that.
 _LN_2_CACHED_BITS = 1 << 12
 
@@ -75,7 +76,25 @@ def _ln(x: int, e: int, bits: int) -> tuple[int, int]:
     return value + (t - e) * ln_2, error + abs(t - e) * ln_2_error
 
 
-def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int, int]:
+def _branch_terms(m: int, size: int, lcm: int) -> tuple[Iterable[int], Iterable[tuple[int, int]]]:
+    """_branch's integers that depend on the rule alone, made as it asks for
+    them: (-1)^j lcm/(m-1-j) for j = m-2 down to 0, and C(t-1, m-1) with
+    C(t-1, m-1) lcm/t for t = size-1 down to m."""
+
+    def head() -> Iterator[tuple[int, int]]:
+        coefficient = math.comb(size - 1, m - 1)
+        for t in range(size - 1, m - 1, -1):
+            coefficient = coefficient * (t - m + 1) // t  # C(t-1, m-1) from C(t, m-1)
+            yield coefficient, coefficient * (lcm // t)
+
+    alternating = (-(lcm // (m - 1 - j)) if j % 2 else lcm // (m - 1 - j) for j in range(m - 2, -1, -1))
+    return alternating, head()
+
+
+def _branch(
+    m: int, x: int, y: int, e: int, size: int, lcm: int,
+    terms: tuple[Iterable[int], Iterable[tuple[int, int]]] | None = None,
+) -> tuple[int, int, int]:
     """Families closed by the m-th child of the sex born with probability x/2^e.
 
     With y = 2^e - x, returns (rational, log) over lcm * y^m * 2^(e*size),
@@ -84,20 +103,31 @@ def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, i
     ln(x/2^e) + sum_{j<m-1} (-1)^j (x/y)^(j+1)/(m-1-j) (put u = 1 - y t in
     1/T = int_0^1 t^(T-1) dt); the head m <= T < size is summed by Horner in
     y, weighted by lcm/T for the rational part and unweighted for the mass.
+    terms are _branch_terms(m, size, lcm), which a sweep builds once per
+    rule; without them the sums make their own.
     """
+    alternating, head_terms = terms or _branch_terms(m, size, lcm)
     x_m, y_m = x**m, y**m
     # sum_{j<m-1} (-1)^j x^(j+1) y^(m-1-j) lcm/(m-1-j), by Horner in x
     rational, y_power = 0, y
-    for j in range(m - 2, -1, -1):
-        rational = rational * x + (-1) ** j * (lcm // (m - 1 - j)) * y_power
+    for term in alternating:
+        rational = rational * x + term * y_power
         y_power *= y
-    head, weighted, coefficient = 0, 0, math.comb(size - 1, m - 1)
-    for t in range(size - 1, m - 1, -1):
-        coefficient = coefficient * (t - m + 1) // t  # C(t-1, m-1) from C(t, m-1)
-        head = head * y + (coefficient << e * (size - t))
-        weighted = weighted * y + (coefficient * (lcm // t) << e * (size - t))
+    head, weighted, shift = 0, 0, e
+    for coefficient, weight in head_terms:
+        head = head * y + (coefficient << shift)
+        weighted = weighted * y + (weight << shift)
+        shift += e
     rational = (rational * x << e * size) - x_m * y_m * weighted
     return rational, (-1) ** m * x_m * lcm << e * size, (1 << e * size) - x_m * head
+
+
+def _share_terms(rule: Rule) -> tuple[int, tuple | None, tuple | None]:
+    """lcm(1..n+k) and the boy and the girl branch's _branch_terms, built at
+    once: what a sweep shares between the rows of one rule."""
+    n, k = rule
+    lcm = math.lcm(*range(1, n + k + 1))
+    return lcm, *(tuple(map(tuple, _branch_terms(m, n + k, lcm))) if m else None for m in (n, k))
 
 
 def average_share(
@@ -109,34 +139,48 @@ def average_share(
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
-    return SeriesResult(value=_average_share(rule, prob), tail_bound=0.0, terms_used=rule.total_required)
+    value = _average_share(rule, prob, _dyadic(prob), {})
+    return SeriesResult(value=value, tail_bound=0.0, terms_used=rule.total_required)
 
 
-def _average_share(rule: Rule, prob: BirthProbability) -> float:
-    """average_share's value, for arguments already checked.
+def _average_share(
+    rule: Rule,
+    prob: BirthProbability,
+    dyadic: tuple[int, int, int],
+    logs: dict[int, tuple[tuple[int, int], tuple[int, int]]],
+    terms: tuple[int, tuple | None, tuple | None] | None = None,
+) -> float:
+    """average_share's value, for arguments already checked, from the dyadic
+    of prob and the rule's _share_terms, if a sweep built them (without them
+    the sums make their own).  logs maps a precision to _ln of p and of q at
+    it, and gains each one this call computes: a sweep's row passes one to
+    all its rules.
 
     Boy-closed families of size T hold T - n girls and girl-closed ones k,
     so E[girls/T] = P(boy-closed) - n sum_B P/T + k sum_G P/T, all three from
     _branch: over lcm(1..n+k) c^n a^k 2^(e(n+k)), with p = a/2^e and q = c/2^e,
-    rational + u ln p + v ln q in integers.  The precision of the logarithms
-    is raised until both ends of their error interval round to one float
-    (Ziv's strategy).  That ends, as the value is transcendental (Baker)
-    unless u ln p + v ln q = 0: at a float p, only n = k at 1/2, value 1/2."""
+    rational + u ln p + v ln q in integers.  The precision of the logarithms,
+    a multiple of 32 bits so that rules can share it, is raised until both
+    ends of their error interval round to one float (Ziv's strategy).  That
+    ends, as the value is transcendental (Baker) unless u ln p + v ln q = 0:
+    at a float p, only n = k at 1/2, value 1/2."""
     n, k = rule.boys_required, rule.girls_required
-    (a, e, c), size = _dyadic(prob), n + k
+    (a, e, c), size = dyadic, n + k
     try:
-        lcm = math.lcm(*range(1, size + 1))
-        rational_b, log_b, boy_closed = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
-        rational_g, log_g, _ = _branch(k, c, a, e, size, lcm) if k else (0, 0, 0)
+        lcm, boy_terms, girl_terms = terms or (math.lcm(*range(1, size + 1)), None, None)
+        rational_b, log_b, boy_closed = _branch(n, a, c, e, size, lcm, boy_terms) if n else (0, 0, 0)
+        rational_g, log_g, _ = _branch(k, c, a, e, size, lcm, girl_terms) if k else (0, 0, 0)
         denominator = lcm * c**n * a**k << e * size
     except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
     rational = a**k * (lcm * c**n * boy_closed - n * rational_b) + k * c**n * rational_g
     u, v = -n * a**k * log_b, k * c**n * log_g
     cancelled = max(abs(u), abs(v)).bit_length() - denominator.bit_length()
-    bits = _GUARD_BITS + max(cancelled, 0) + e.bit_length()
+    bits = -(-(_GUARD_BITS + max(cancelled, 0) + e.bit_length()) // 32) * 32
     for _ in range(_ZIV_ROUNDS):
-        (ln_p, error_p), (ln_q, error_q) = _ln(a, e, bits), _ln(c, e, bits)
+        if bits not in logs:
+            logs[bits] = _ln(a, e, bits), _ln(c, e, bits)
+        (ln_p, error_p), (ln_q, error_q) = logs[bits]
         total = (rational << bits) + u * ln_p + v * ln_q
         error = abs(u) * error_p + abs(v) * error_q
         low = (total - error) / (denominator << bits)  # int / int rounds correctly

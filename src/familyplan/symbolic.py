@@ -48,13 +48,8 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import as_rule
+from .core import _SMALL_RULE_SIZE, as_rule
 from .errors import DomainError, NumericError
-
-# The rules whose numerators _leibniz_numerator keeps, so that its 512 entries
-# hold at most 65 coefficients each: every verify grid (n, k <= 20) is cached,
-# while one (2000,2000) numerator alone is 1.5 MB.
-_CACHED_RULE_SIZE = 64
 
 
 def _exact(value: int) -> int:
@@ -187,11 +182,16 @@ def format_polynomial(poly: Polynomial) -> str:
             continue
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
-        if i == 0:
-            body = str(mag)
+        var = "" if i == 0 else "p" if i == 1 else f"p^{i}"
+        if var and mag == 1:
+            body = var
         else:
-            var = "p" if i == 1 else f"p^{i}"
-            body = var if mag == 1 else f"{mag}{var}"
+            try:
+                body = f"{mag}{var}"
+            except ValueError:  # past CPython's limit on int-to-str digits, 4300 by default
+                from decimal import Decimal
+
+                body = f"{Decimal(mag)}{var}"
         if not pieces:
             pieces.append(body if sign == "+" else f"-{body}")
         else:
@@ -322,8 +322,11 @@ def _leibniz_numerator(n: int, k: int) -> Polynomial:
 
 
 def _numerator(n: int, k: int) -> Polynomial:
-    """_leibniz_numerator(n, k), from its cache only for a small rule."""
-    return (_leibniz_numerator if n + k <= _CACHED_RULE_SIZE else _leibniz_numerator.__wrapped__)(n, k)
+    """_leibniz_numerator(n, k), from its cache only for a rule of at most
+    _SMALL_RULE_SIZE children, so that its 512 entries hold at most 65
+    coefficients each: every verify grid (n, k <= 20) is cached, while one
+    (2000,2000) numerator alone is 1.5 MB."""
+    return (_leibniz_numerator if n + k <= _SMALL_RULE_SIZE else _leibniz_numerator.__wrapped__)(n, k)
 
 
 def expected_boys_exact(n: int, k: int) -> RationalFunction:

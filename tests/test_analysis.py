@@ -1,13 +1,14 @@
 import csv
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import analysis, series, share
+from familyplan import analysis, core, series, share
 from familyplan.core import Rule
 from familyplan.errors import BracketingError, DomainError, NumericError
 
@@ -244,10 +245,13 @@ class TestSweep:
         st.lists(
             st.one_of(
                 st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(any),
-                st.sampled_from([(300, 0), (10**20, 1)]),
+                # (40,0), (0,40) and (12,12) take different working precisions
+                # for their logarithms than small rules in the same row
+                st.sampled_from([(300, 0), (10**20, 1), (40, 0), (0, 40), (12, 12)]),
             ),
             min_size=1,
             max_size=3,
+            unique=True,  # a sweep refuses a repeated rule
         ),
         st.one_of(st.just(5e-324), st.floats(1e-300, 0.5)),
         st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
@@ -268,15 +272,43 @@ class TestSweep:
         calls = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, dyadic):
+        def recording(rule, dyadic, binomials=None):
             calls.append((rule, dyadic))
-            return wald_fraction(rule, dyadic)
+            return wald_fraction(rule, dyadic, binomials)
 
         monkeypatch.setattr(series, "_wald_fraction", recording)
         monkeypatch.setattr(analysis, "_wald_fraction", recording)
         analysis.sweep([(1, 1), (3, 2)], ["F", "G", "B", "ratio"], 0.1, 0.9, 5, 1e-10)
         assert len(calls) == 10
         assert len(set(calls)) == 10
+
+    def test_row_computes_each_logarithm_once(self, monkeypatch):
+        # the three rules' working precisions round to one multiple of 32
+        # bits, so each row computes ln p and ln q once, not once per rule
+        calls = []
+        ln = share._ln
+
+        def recording(x, e, bits):
+            calls.append((x, e, bits))
+            return ln(x, e, bits)
+
+        monkeypatch.setattr(share, "_ln", recording)
+        rows = analysis.sweep([(1, 1), (2, 0), (0, 2)], ["average_share"], 0.3, 0.7, 2, 1e-10)
+        dyadics = [core._dyadic(core.BirthProbability(p)) for p in (0.3, 0.7)]
+        assert sorted((x, e) for x, e, _ in calls) == sorted((x, e) for a, e, c in dyadics for x in (a, c))
+        for row in rows:
+            for n, k in [(1, 1), (2, 0), (0, 2)]:
+                assert row.quantities[f"average_share({n},{k})"] == share.average_share((n, k), row.p, 1e-10).value
+
+    @pytest.mark.parametrize(
+        "rules,quantities,repeat",
+        [([(1, 1), (1, 1)], ["F"], "rule (1,1)"), ([(2, 0), (1, 1), (2, 0)], ["G", "F"], "rule (2,0)"),
+         ([(1, 1)], ["F", "average_share", "F"], "quantity 'F'")],
+    )
+    def test_repeated_rule_or_quantity_is_refused(self, rules, quantities, repeat):
+        # its columns would share a name, and the row would keep only one
+        with pytest.raises(DomainError, match=rf"^{re.escape(repeat)} is given twice"):
+            analysis.sweep(rules, quantities, 0.1, 0.9, 3, 1e-10)
 
     def test_zero_rule_is_refused_while_parsing_the_rules(self):
         # before the quantities are checked, so the unknown "X" is never reported

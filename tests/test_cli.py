@@ -343,6 +343,8 @@ class TestSweep:
             {"--rules": "1"},
             {"--rules": "0,0"},
             {"--quantities": "nope"},
+            {"--rules": "1,1;2,0;1,1"},
+            {"--quantities": "F;G;F"},
             {"--steps": "1"},
             {"--from": "0.9", "--to": "0.1"},
             {"--from": "0"},
@@ -365,6 +367,16 @@ class TestSweep:
         code, _, _ = run_cli([*argv, "--out", str(kept)])
         assert code == 1
         assert kept.read_bytes() == b"p,old\n"
+
+    def test_repeated_rule_is_named_before_the_file_is_opened(self, run_cli, tmp_path):
+        # the two columns F(1,1) would collide, and the file would hold only
+        # a header before the rows found it out
+        out_path = tmp_path / "dup.csv"
+        code, out, err = run_cli(["sweep", "--rules", "1,1;1,1", "--quantities", "F", "--from", "0.1",
+                                  "--to", "0.9", "--steps", "3", "--out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert err == "error: rule (1,1) is given twice; a sweep takes each rule once\n"
+        assert not out_path.exists()
 
     def test_out_in_a_missing_directory_exits_one(self, run_cli, tmp_path):
         out_path = tmp_path / "missing" / "s.csv"

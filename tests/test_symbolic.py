@@ -72,6 +72,12 @@ class TestPolynomial:
             expected = expected * x + c
         assert poly.evaluate(x) == expected
 
+    def test_coefficients_past_the_int_to_str_digit_limit_print(self):
+        # CPython refuses str() of an int over 4300 digits by default, and
+        # the exact B of (5000,5000) has such coefficients
+        assert str(Polynomial([10**5000, -1])) == "1" + "0" * 5000 + " - p"
+        assert str(Polynomial([0, -(10**4400), 0, 3])) == "-1" + "0" * 4400 + "p + 3p^3"
+
     @pytest.mark.parametrize("bad", [Fraction(1, 3), Fraction(4, 2), 0.1, 1.0, True])
     def test_fraction_float_and_bool_coefficients_rejected(self, bad):
         with pytest.raises(DomainError):
