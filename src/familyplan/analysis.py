@@ -14,10 +14,10 @@ import io
 import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .core import _SMALL_RULE_SIZE, BirthProbability, Rule, _check_int, _dyadic, as_rule
+from .core import BirthProbability, Rule, _check_int, _dyadic, as_rule
 from .errors import BracketingError, DomainError, NumericError
-from .series import _check_tolerance, _wald_binomials, _wald_fraction, _wald_value
-from .share import _average_share, _share_terms
+from .series import _check_tolerance, _wald_fraction, _wald_value
+from .share import _average_share
 
 # the _wald_value quantity behind each Wald column
 _WALD_QUANTITIES = {"F": "family_size", "G": "girls", "B": "boys", "ratio": "ratio"}
@@ -95,8 +95,10 @@ def sweep(
     then rule.  Each cell equals its public function (expected_*, gender_ratio,
     societal_share, average_share) bit for bit, and is NaN where that raises
     NumericError; the arguments are checked once, a rule or quantity given
-    twice is a DomainError, F, G, B and ratio of one rule at one p share one
-    Wald fraction, and the average shares of one p share its logarithms.
+    twice is a DomainError, and F, G, B and ratio of one rule at one p share
+    one Wald fraction.  Each cell takes the path of a one-shot call: the
+    bounded caches of series and share keep a small rule's integers across
+    rows and one p's logarithms across the rules of its row.
     """
     return list(_sweep_rows(rules, quantities, p_start, p_end, steps, tol)[1])
 
@@ -130,7 +132,6 @@ def _sweep_rows(
     names = [f"{kind}({n},{k})" for kind in quantities for n, k in parsed_rules]
     kinds = [_WALD_QUANTITIES.get(kind, kind) for kind in quantities]  # a Wald one as _wald_value's
     wald = any(kind in _WALD_QUANTITIES for kind in quantities)
-    binomials, terms = zip(*[_rule_tables(rule, wald, "average_share" in quantities) for rule in parsed_rules])
     span = p_end - p_start
 
     def rows() -> Iterator[SweepRow]:
@@ -138,17 +139,11 @@ def _sweep_rows(
             p = p_end if i == steps - 1 else p_start + i * span / (steps - 1)
             prob = BirthProbability(p)
             dyadic = _dyadic(prob)
-            fractions = [
-                _or_else(None, _wald_fraction, r, dyadic, b) for r, b in zip(parsed_rules, binomials) if wald
-            ]
-            logs: dict = {}  # each precision's logarithms, once for all the row's rules
+            fractions = [_or_else(None, _wald_fraction, r, dyadic) for r in parsed_rules if wald]
             cells: list[float] = []
             for kind in kinds:
                 if kind == "average_share":
-                    cells += [
-                        _or_else(math.nan, _average_share, r, prob, dyadic, logs, t)
-                        for r, t in zip(parsed_rules, terms)
-                    ]
+                    cells += [_or_else(math.nan, _average_share, r, prob, dyadic) for r in parsed_rules]
                 elif kind == "societal_share":
                     cells += [prob.q] * len(parsed_rules)
                 else:
@@ -167,19 +162,6 @@ def _or_else(failed: Any, function: Callable[..., Any], *args: Any) -> Any:
         return function(*args)
     except NumericError:
         return failed
-
-
-def _rule_tables(rule: Rule, wald: bool, shares: bool) -> tuple[tuple | None, tuple | None]:
-    """What a sweep builds once for a rule and passes to each row: the rule's
-    _wald_binomials if wald and n, k >= 1, and its _share_terms if shares.
-    Each is None where not asked for, and both for a rule of more than
-    _SMALL_RULE_SIZE children (a table holds some (n+k)^2 bits), whose sums
-    make their own integers, as a one-shot call's do."""
-    n, k = rule
-    if n + k > _SMALL_RULE_SIZE:
-        return None, None
-    binomials = tuple(map(tuple, _wald_binomials(n, k))) if wald and n and k else None
-    return binomials, _share_terms(rule) if shares else None
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

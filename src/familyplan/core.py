@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DomainError, NumericError
 
 # The most children of a rule whose integers that depend on the rule alone are
-# kept past one call: symbolic's cached Leibniz numerators and a sweep's tables
+# kept past one call: symbolic's Leibniz numerators, series' binomials and
+# share's branch terms; a larger rule's are made afresh on each call
 _SMALL_RULE_SIZE = 64
 
 

@@ -15,12 +15,13 @@ E[girls/T] lives in share.py, in closed form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
-    BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _exact_moments, _pmf_addends,
-    as_probability, as_rule,
+    _SMALL_RULE_SIZE, BirthProbability, Rule, TruncatedMoments, _check_int, _dyadic, _exact_moments,
+    _pmf_addends, as_probability, as_rule,
 )
 from .errors import DomainError, NumericError
 
@@ -52,10 +53,11 @@ def _binomials(m: int, count: int) -> Iterator[int]:
     yield 1  # C(m, 0) = 1, even at m = 0
 
 
-def _wald_binomials(n: int, k: int) -> tuple[Iterable[int], Iterable[int]]:
-    """The coefficients of E[min]'s two sums for n, k >= 1, C(n+g, g) for g < k
-    and C(k+b, b) for b < n, highest first, made as _horner asks for them."""
-    return _binomials(n, k), _binomials(k, n)
+@lru_cache(maxsize=_SMALL_RULE_SIZE**2)
+def _binomial_table(m: int, count: int) -> tuple[int, ...]:
+    """_binomials(m, count), kept: called only for m + count <= _SMALL_RULE_SIZE,
+    so that it holds at most 2016 tuples of at most 63 coefficients."""
+    return tuple(_binomials(m, count))
 
 
 def _horner(coefficients: Iterable[int], x: int, e: int) -> int:
@@ -67,16 +69,13 @@ def _horner(coefficients: Iterable[int], x: int, e: int) -> int:
     return total
 
 
-def _wald_fraction(
-    rule: Rule,
-    dyadic: tuple[int, int, int],
-    binomials: tuple[Iterable[int], Iterable[int]] | None = None,
-) -> tuple[int, dict[str, int]]:
+def _wald_fraction(rule: Rule, dyadic: tuple[int, int, int]) -> tuple[int, dict[str, int]]:
     """Exact numerator of E[T] times p ("boys"), q ("girls") or 1 ("family_size"),
     and the denominator > 0 of each, at p = a/2^e and q = c/2^e given as the
     dyadic (a, e, c), which need not be a float: the three share the numerator.
-    binomials are _wald_binomials(n, k), which a sweep builds once per
-    rule; without them the sums make their own."""
+    E[min]'s coefficients C(n+g, g), g < k, and C(k+b, b), b < n, come from
+    _binomial_table for a rule of at most _SMALL_RULE_SIZE children; a larger
+    rule's are made as _horner asks for them."""
     n, k = rule.boys_required, rule.girls_required
     a, e, c = dyadic
     try:
@@ -84,8 +83,8 @@ def _wald_fraction(
         # the shift comes first, so a rule too large for it fails before the sums run
         numerator = (n * c + k * a) << e * (n + k)
         if n and k:
-            below, above = binomials or _wald_binomials(n, k)
-            numerator -= a * c * (n * a**n * _horner(below, c, e) + k * c**k * _horner(above, a, e))
+            made = _binomial_table if n + k <= _SMALL_RULE_SIZE else _binomials
+            numerator -= a * c * (n * a**n * _horner(made(n, k), c, e) + k * c**k * _horner(made(k, n), a, e))
         shift = e * (n + k - 1)
         return numerator, {"boys": c << e + shift, "girls": a << e + shift, "family_size": a * c << shift}
     except (OverflowError, MemoryError):

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .core import BirthProbability, Rule, _dyadic, as_probability, as_rule
+from .core import _SMALL_RULE_SIZE, BirthProbability, Rule, _dyadic, as_probability, as_rule
 from .errors import NumericError
 from .series import SeriesResult, _check_tolerance
 
@@ -26,9 +26,9 @@ from .series import SeriesResult, _check_tolerance
 # round settles nearly every value; each further round of Ziv's doubles them.
 _GUARD_BITS = 64
 _ZIV_ROUNDS = 8
-# The precisions _ln_2 keeps, so that it holds at most 128 values of 512 bytes:
-# a sweep of rules up to (6,6) asks for at most 224 bits, while (40,40) at
-# p = 5e-324 asks for 43040, and each further Ziv round doubles that.
+# The precisions _ln_2 and _ln keep, so that each holds at most 128 values of
+# some 540 bytes: a sweep of rules up to (6,6) asks for at most 224 bits,
+# while (40,40) at p = 5e-324 asks for 43040, and each Ziv round doubles that.
 _LN_2_CACHED_BITS = 1 << 12
 
 
@@ -67,9 +67,11 @@ def _ln_2(bits: int) -> tuple[int, int]:
     return _atanh(1, 3, bits + 1)
 
 
+@lru_cache(maxsize=128)
 def _ln(x: int, e: int, bits: int) -> tuple[int, int]:
     """2^bits * ln(x/2^e) for an integer x >= 1, and a bound on its error;
-    with x/2^t in [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2."""
+    with x/2^t in [1/sqrt(2), sqrt(2)), ln x = 2 atanh((x - 2^t)/(x + 2^t)) + t ln 2;
+    the rules of a sweep's row ask for ln p and ln q at one precision."""
     t = x.bit_length() - (2 * x * x < 1 << 2 * x.bit_length())
     value, error = _atanh(x - (1 << t), x + (1 << t), bits + 1)
     ln_2, ln_2_error = (_ln_2 if bits <= _LN_2_CACHED_BITS else _ln_2.__wrapped__)(bits)
@@ -91,10 +93,14 @@ def _branch_terms(m: int, size: int, lcm: int) -> tuple[Iterable[int], Iterable[
     return alternating, head()
 
 
-def _branch(
-    m: int, x: int, y: int, e: int, size: int, lcm: int,
-    terms: tuple[Iterable[int], Iterable[tuple[int, int]]] | None = None,
-) -> tuple[int, int, int]:
+@lru_cache(maxsize=_SMALL_RULE_SIZE**2)
+def _branch_table(m: int, size: int, lcm: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """_branch_terms(m, size, lcm), kept: called only for size <= _SMALL_RULE_SIZE,
+    so that it holds at most 2080 entries of at most 63 terms each."""
+    return tuple(map(tuple, _branch_terms(m, size, lcm)))
+
+
+def _branch(m: int, x: int, y: int, e: int, size: int, lcm: int) -> tuple[int, int, int]:
     """Families closed by the m-th child of the sex born with probability x/2^e.
 
     With y = 2^e - x, returns (rational, log) over lcm * y^m * 2^(e*size),
@@ -103,10 +109,10 @@ def _branch(
     ln(x/2^e) + sum_{j<m-1} (-1)^j (x/y)^(j+1)/(m-1-j) (put u = 1 - y t in
     1/T = int_0^1 t^(T-1) dt); the head m <= T < size is summed by Horner in
     y, weighted by lcm/T for the rational part and unweighted for the mass.
-    terms are _branch_terms(m, size, lcm), which a sweep builds once per
-    rule; without them the sums make their own.
+    Its terms come from _branch_table for size <= _SMALL_RULE_SIZE and are
+    made as the sums ask for them above it.
     """
-    alternating, head_terms = terms or _branch_terms(m, size, lcm)
+    alternating, head_terms = (_branch_table if size <= _SMALL_RULE_SIZE else _branch_terms)(m, size, lcm)
     x_m, y_m = x**m, y**m
     # sum_{j<m-1} (-1)^j x^(j+1) y^(m-1-j) lcm/(m-1-j), by Horner in x
     rational, y_power = 0, y
@@ -122,14 +128,6 @@ def _branch(
     return rational, (-1) ** m * x_m * lcm << e * size, (1 << e * size) - x_m * head
 
 
-def _share_terms(rule: Rule) -> tuple[int, tuple | None, tuple | None]:
-    """lcm(1..n+k) and the boy and the girl branch's _branch_terms, built at
-    once: what a sweep shares between the rows of one rule."""
-    n, k = rule
-    lcm = math.lcm(*range(1, n + k + 1))
-    return lcm, *(tuple(map(tuple, _branch_terms(m, n + k, lcm))) if m else None for m in (n, k))
-
-
 def average_share(
     rule: Rule | tuple[int, int],
     p: BirthProbability | float,
@@ -139,37 +137,27 @@ def average_share(
     rule = as_rule(rule)
     prob = as_probability(p)
     _check_tolerance(tol)
-    value = _average_share(rule, prob, _dyadic(prob), {})
+    value = _average_share(rule, prob, _dyadic(prob))
     return SeriesResult(value=value, tail_bound=0.0, terms_used=rule.total_required)
 
 
-def _average_share(
-    rule: Rule,
-    prob: BirthProbability,
-    dyadic: tuple[int, int, int],
-    logs: dict[int, tuple[tuple[int, int], tuple[int, int]]],
-    terms: tuple[int, tuple | None, tuple | None] | None = None,
-) -> float:
-    """average_share's value, for arguments already checked, from the dyadic
-    of prob and the rule's _share_terms, if a sweep built them (without them
-    the sums make their own).  logs maps a precision to _ln of p and of q at
-    it, and gains each one this call computes: a sweep's row passes one to
-    all its rules.
+def _average_share(rule: Rule, prob: BirthProbability, dyadic: tuple[int, int, int]) -> float:
+    """average_share's value, for arguments already checked, from the dyadic of prob.
 
     Boy-closed families of size T hold T - n girls and girl-closed ones k,
     so E[girls/T] = P(boy-closed) - n sum_B P/T + k sum_G P/T, all three from
     _branch: over lcm(1..n+k) c^n a^k 2^(e(n+k)), with p = a/2^e and q = c/2^e,
     rational + u ln p + v ln q in integers.  The precision of the logarithms,
-    a multiple of 32 bits so that rules can share it, is raised until both
-    ends of their error interval round to one float (Ziv's strategy).  That
-    ends, as the value is transcendental (Baker) unless u ln p + v ln q = 0:
-    at a float p, only n = k at 1/2, value 1/2."""
+    a multiple of 32 bits so that the rules of one p hit one _ln entry, is
+    raised until both ends of their error interval round to one float (Ziv's
+    strategy).  That ends, as the value is transcendental (Baker) unless
+    u ln p + v ln q = 0: at a float p, only n = k at 1/2, value 1/2."""
     n, k = rule.boys_required, rule.girls_required
     (a, e, c), size = dyadic, n + k
     try:
-        lcm, boy_terms, girl_terms = terms or (math.lcm(*range(1, size + 1)), None, None)
-        rational_b, log_b, boy_closed = _branch(n, a, c, e, size, lcm, boy_terms) if n else (0, 0, 0)
-        rational_g, log_g, _ = _branch(k, c, a, e, size, lcm, girl_terms) if k else (0, 0, 0)
+        lcm = math.lcm(*range(1, size + 1))
+        rational_b, log_b, boy_closed = _branch(n, a, c, e, size, lcm) if n else (0, 0, 0)
+        rational_g, log_g, _ = _branch(k, c, a, e, size, lcm) if k else (0, 0, 0)
         denominator = lcm * c**n * a**k << e * size
     except (OverflowError, MemoryError):
         raise NumericError(f"rule ({n},{k}) is too large for exact integers") from None
@@ -178,9 +166,8 @@ def _average_share(
     cancelled = max(abs(u), abs(v)).bit_length() - denominator.bit_length()
     bits = -(-(_GUARD_BITS + max(cancelled, 0) + e.bit_length()) // 32) * 32
     for _ in range(_ZIV_ROUNDS):
-        if bits not in logs:
-            logs[bits] = _ln(a, e, bits), _ln(c, e, bits)
-        (ln_p, error_p), (ln_q, error_q) = logs[bits]
+        ln = _ln if bits <= _LN_2_CACHED_BITS else _ln.__wrapped__
+        (ln_p, error_p), (ln_q, error_q) = ln(a, e, bits), ln(c, e, bits)
         total = (rational << bits) + u * ln_p + v * ln_q
         error = abs(u) * error_p + abs(v) * error_q
         low = (total - error) / (denominator << bits)  # int / int rounds correctly

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import analysis, core, series, share
+from familyplan import analysis, series, share
 from familyplan.core import Rule
 from familyplan.errors import BracketingError, DomainError, NumericError
 
@@ -246,8 +246,10 @@ class TestSweep:
             st.one_of(
                 st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(any),
                 # (40,0), (0,40) and (12,12) take different working precisions
-                # for their logarithms than small rules in the same row
-                st.sampled_from([(300, 0), (10**20, 1), (40, 0), (0, 40), (12, 12)]),
+                # for their logarithms than small rules in the same row;
+                # (32,32) is the largest rule whose integers are kept, (33,32)
+                # the smallest whose integers are made on each call
+                st.sampled_from([(300, 0), (10**20, 1), (40, 0), (0, 40), (12, 12), (32, 32), (33, 32)]),
             ),
             min_size=1,
             max_size=3,
@@ -272,9 +274,9 @@ class TestSweep:
         calls = []
         wald_fraction = series._wald_fraction
 
-        def recording(rule, dyadic, binomials=None):
+        def recording(rule, dyadic):
             calls.append((rule, dyadic))
-            return wald_fraction(rule, dyadic, binomials)
+            return wald_fraction(rule, dyadic)
 
         monkeypatch.setattr(series, "_wald_fraction", recording)
         monkeypatch.setattr(analysis, "_wald_fraction", recording)
@@ -282,20 +284,12 @@ class TestSweep:
         assert len(calls) == 10
         assert len(set(calls)) == 10
 
-    def test_row_computes_each_logarithm_once(self, monkeypatch):
+    def test_row_computes_each_logarithm_once(self):
         # the three rules' working precisions round to one multiple of 32
         # bits, so each row computes ln p and ln q once, not once per rule
-        calls = []
-        ln = share._ln
-
-        def recording(x, e, bits):
-            calls.append((x, e, bits))
-            return ln(x, e, bits)
-
-        monkeypatch.setattr(share, "_ln", recording)
+        share._ln.cache_clear()
         rows = analysis.sweep([(1, 1), (2, 0), (0, 2)], ["average_share"], 0.3, 0.7, 2, 1e-10)
-        dyadics = [core._dyadic(core.BirthProbability(p)) for p in (0.3, 0.7)]
-        assert sorted((x, e) for x, e, _ in calls) == sorted((x, e) for a, e, c in dyadics for x in (a, c))
+        assert share._ln.cache_info().misses == 2 * len(rows)
         for row in rows:
             for n, k in [(1, 1), (2, 0), (0, 2)]:
                 assert row.quantities[f"average_share({n},{k})"] == share.average_share((n, k), row.p, 1e-10).value

@@ -239,9 +239,9 @@ class TestWaldFiniteSum:
     def test_horner_is_its_defining_sum(self, m, count, x, e):
         # m = 0 is the n - 1 of average_share's boy-closed mass at n = 1
         direct = sum(math.comb(m + j, j) * x**j << e * (count - 1 - j) for j in range(count))
-        # from the binomials made as the sum asks, and from a sweep's table of them
+        # from the binomials made as the sum asks, and from the kept table of them
         assert series._horner(series._binomials(m, count), x, e) == direct
-        assert series._horner(tuple(series._binomials(m, count)), x, e) == direct
+        assert series._horner(series._binomial_table(m, count), x, e) == direct
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familyplan import core, series, share
+from familyplan import analysis, core, series, share
 from familyplan.errors import DomainError, NumericError
 
 TWO_LN_TWO_MINUS_ONE = 2.0 * math.log(2.0) - 1.0
@@ -245,20 +245,45 @@ class TestClosedForm:
             share.average_share((1, 1), 0.3, 1e-10)
 
     def test_repeated_call_computes_no_new_ln_2(self):
-        # 2^bits ln 2 depends only on the working precision, so a second
-        # call at the same rule and p finds every precision it needs cached
+        # 2^bits ln p depends only on p and the working precision, so a
+        # second call at the same rule and p finds every logarithm it needs
+        # cached, and computes no ln 2 either
         share.average_share((3, 2), 0.3, 1e-10)
-        before = share._ln_2.cache_info()
+        before = share._ln.cache_info(), share._ln_2.cache_info()
         share.average_share((3, 2), 0.3, 1e-10)
-        after = share._ln_2.cache_info()
-        assert after.misses == before.misses
-        assert after.hits > before.hits
+        after = share._ln.cache_info(), share._ln_2.cache_info()
+        assert [info.misses for info in after] == [info.misses for info in before]
+        assert after[0].hits > before[0].hits
 
     def test_high_precision_ln_2_is_not_kept(self):
         # (40,40) at 5e-324 needs 43040 bits or more: computed, not cached
         share._ln_2.cache_clear()
         assert share.average_share((40, 40), 5e-324, 1e-10).value == 1.0
         assert share._ln_2.cache_info().currsize == 0
+
+    def test_caches_keep_small_rules_and_low_precisions_only(self):
+        # the integers of a rule of at most 64 children are kept; a larger
+        # rule's are made on each call, as a (1000,1000) table would hold
+        # megabytes, and so is a logarithm past _LN_2_CACHED_BITS
+        tables = [series._binomial_table, share._branch_table]
+        for cache in tables + [share._ln]:
+            cache.cache_clear()
+
+        def call(rule):
+            share.average_share(rule, 0.3, 1e-10)
+            series.expected_family_size(rule, 0.3, 1e-10)
+            return [cache.cache_info() for cache in tables + [share._ln]]
+
+        assert [info.currsize for info in call((33, 32))[:2]] == [0, 0]
+        assert all(info.currsize > 0 for info in call((32, 32)))
+        call((3, 1))
+        kept = call((1, 3))
+        assert [info.misses for info in call((32, 32))] == [info.misses for info in kept]
+        analysis.crossing_probability((3, 1), (1, 3), 1e-10)
+        assert [cache.cache_info().misses for cache in tables] == [info.misses for info in kept[:2]]
+        share._ln.cache_clear()
+        assert share.average_share((40, 40), 5e-324, 1e-10).value == 1.0
+        assert share._ln.cache_info().currsize == 0
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_average_share_strictly_below_societal_share(self, p):
